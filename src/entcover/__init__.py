@@ -6,8 +6,8 @@ constructive spanning-tree certificate.
 from .core import (LOG2E, Cover, Distribution, GroundSet, PolymatroidOracle,
                    check_polymatroid, entropy, entropy_from_weight, iter_bits,
                    popcount, validate_cover, weight_product)
-from .exact import GUARD_MSG, Optimum, exact_assignment_mesc, exact_cover, \
-    exact_mest, exact_mest_entropy, exact_orientation
+from .exact import GUARD_MSG, GuardError, Optimum, exact_assignment_mesc, \
+    exact_cover, exact_mest, exact_mest_entropy, exact_orientation
 from .flow import (BoundReport, FlowNetwork, FlowResult, approximation_bound,
                    build_alpha_network, check_assignment, extract_assignment,
                    max_flow, min_alpha)
@@ -36,8 +36,9 @@ __all__ = [
     "generate_random",
     "GreedyTrace", "CoefficientTable", "run_greedy", "coefficients",
     "specialized_coefficients",
-    "GUARD_MSG", "Optimum", "exact_cover", "exact_assignment_mesc",
-    "exact_orientation", "exact_mest", "exact_mest_entropy",
+    "GUARD_MSG", "GuardError", "Optimum", "exact_cover",
+    "exact_assignment_mesc", "exact_orientation", "exact_mest",
+    "exact_mest_entropy",
     "FlowNetwork", "FlowResult", "max_flow", "build_alpha_network",
     "extract_assignment", "check_assignment", "min_alpha", "BoundReport",
     "approximation_bound",

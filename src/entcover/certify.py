@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import LOG2E, Cover, entropy
+from .exact import Optimum, exact_mest
 from .greedy import CoefficientTable, GreedyTrace, coefficients, run_greedy
 from .instances import (Edge, GraphInstance, TreeCoverSolution,
                         complete_mest_solution, mest_oracle)
@@ -530,20 +531,27 @@ def check_admissible(flow: MultiLevelFlow, ordering: PathOrdering,
     return True, None
 
 
-def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest") -> dict:
+def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
+                    trace: Optional[GreedyTrace] = None,
+                    opt: Optional[Optimum] = None,
+                    coeffs: Optional[CoefficientTable] = None) -> dict:
     """End-to-end certificate for one connected graph: greedy + exact
     optimum + tree transformation + flow checks + the entropy bound with
     the certified multiplier 1.
 
+    A caller that already holds the greedy trace (of the mest oracle
+    under ``tie_break``), the ``exact_mest`` optimum or the coefficient
+    table of that trace passes them in; each one left out is computed.
+
     The certified multiplier is an infimum over constructions, so ONE
     transformable optimal witness suffices; witnesses sharing the greedy
     edge set are tried first (their schedules are pure reversals)."""
-    from .exact import exact_mest  # deferred: exact imports nothing from here
-
     oracle = mest_oracle(inst)
-    trace = run_greedy(oracle, tie_break)
+    if trace is None:
+        trace = run_greedy(oracle, tie_break)
     greedy_sol = complete_mest_solution(inst, trace)
-    opt = exact_mest(inst)
+    if opt is None:
+        opt = exact_mest(inst)
 
     tg_edges = set(greedy_sol.tree_edges)
     order = sorted(range(len(opt.solutions)),
@@ -593,7 +601,8 @@ def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest") -> dict:
     loads_ok = all(loads[v] <= gamma[v] for v in range(inst.n_vertices))
     ends_ok = (flow.levels[0] == opt_sol.charge_vector()
                and flow.levels[-1] == gamma)
-    coeffs = coefficients(oracle, trace)
+    if coeffs is None:
+        coeffs = coefficients(oracle, trace)
     caps_ok = flow_respects_capacities(flow, coeffs, trace.rank,
                                        trace.length)
 

@@ -8,6 +8,7 @@ ties are resolved without floating-point comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from .core import (Cover, PolymatroidOracle, entropy_from_weight,
@@ -16,6 +17,11 @@ from .instances import (Edge, GraphInstance, OrientationSolution,
                         SetCoverInstance, TreeCoverSolution)
 
 GUARD_MSG = "instance too large for exact solver"
+
+
+class GuardError(ValueError):
+    """An instance exceeds an exact solver's size guard; the message
+    contains GUARD_MSG."""
 
 
 @dataclass(frozen=True)
@@ -30,73 +36,64 @@ class Optimum:
 def exact_cover(oracle: PolymatroidOracle) -> Optimum:
     """Enumerate all covers of the polymatroid and keep the best set.
 
-    Depth-first over elements; the upper bound for x_j is the tightest
-    subset constraint among subsets of the already-assigned prefix, and
-    the lower bound ensures the remaining elements can still absorb the
-    remaining total.  Every surviving leaf is re-checked with
-    validate_cover before it is scored.
+    Depth-first over elements, with f read once into a table indexed by
+    subset mask and the subset sums x(S) of the assigned prefix kept
+    incrementally.  The upper bound for x_j is the tightest
+    f(S + j) - x(S) over subsets S of the prefix; the lower bound makes
+    the remaining elements able to absorb the remaining total.
+
+    Every leaf is therefore a cover, for any set function: each subset
+    T is bounded when its largest element is assigned, and the lower
+    bound at the last element forces sum(x) = f(U).  So leaves are
+    scored unchecked, and validate_cover runs once per returned optimum
+    as an invariant check; a failure raises RuntimeError.
     """
     m = oracle.m
     total = oracle.total()
     if m > 8 or total > 20:
-        raise ValueError(GUARD_MSG)
+        raise GuardError(GUARD_MSG)
     if total < 1:
         raise ValueError("degenerate polymatroid: f(U) = 0")
-    suffix_cap = [0] * (m + 1)  # f of the elements from j onward
-    for j in range(m):
-        mask = 0
-        for k in range(j, m):
-            mask |= 1 << k
-        suffix_cap[j] = oracle.eval(mask)
+    full = 1 << m
+    f = [oracle.eval(mask) for mask in range(full)]
+    suffix_cap = [f[full - (1 << j)] for j in range(m)]  # f(j .. m-1)
+    sums = [0] * full  # x(S) for every S within the assigned prefix
+    self_pow = [v ** v for v in range(total + 1)]  # 0^0 = 1
     x = [0] * m
+    last = m - 1
     best_w = -1
     best: List[Tuple[int, ...]] = []
 
-    def rec(j: int, assigned: int) -> None:
+    def rec(j: int, remaining: int, w: int) -> None:
         nonlocal best_w, best
-        if j == m:
-            if assigned != total:
-                return
-            cover = Cover(tuple(x))
-            ok, _ = validate_cover(oracle, cover)
-            if not ok:
-                return
-            w = weight_product(x)
-            if w > best_w:
-                best_w = w
-                best = [tuple(x)]
-            elif w == best_w:
-                best.append(tuple(x))
+        bit = 1 << j
+        low = sums[:bit]
+        hi = min(remaining, min(map(sub, f[bit:2 * bit], low)))
+        if j == last:  # the lower bound here is the whole remainder
+            if hi == remaining:
+                x[j] = remaining
+                w *= self_pow[remaining]
+                if w > best_w:
+                    best_w = w
+                    best = [tuple(x)]
+                elif w == best_w:
+                    best.append(tuple(x))
             return
-        remaining = total - assigned
-        # tightest f(S+j) - x(S) over S subseteq prefix
-        prefix = (1 << j) - 1
-        hi = remaining
-        sub = prefix
-        while True:
-            xs = 0
-            t = sub
-            while t:
-                low = t & -t
-                xs += x[low.bit_length() - 1]
-                t ^= low
-            cap = oracle.eval(sub | (1 << j)) - xs
-            if cap < hi:
-                hi = cap
-            if sub == 0:
-                break
-            sub = (sub - 1) & prefix
-        lo = max(0, remaining - suffix_cap[j + 1])
-        for v in range(lo, hi + 1):
+        for v in range(max(0, remaining - suffix_cap[j + 1]), hi + 1):
             x[j] = v
-            rec(j + 1, assigned + v)
-        x[j] = 0
+            sums[bit:2 * bit] = [s + v for s in low]
+            rec(j + 1, remaining - v, w * self_pow[v])
 
-    rec(0, 0)
+    rec(0, total, 1)
     if not best:
         raise ValueError("no valid cover found; oracle is not a polymatroid")
     best.sort()
     covers = tuple(Cover(t) for t in best)
+    for cover in covers:
+        ok, witness = validate_cover(oracle, cover)
+        if not ok:
+            raise RuntimeError(f"invariant broken: exact_cover returned "
+                               f"{cover.x}, which violates subset {witness}")
     return Optimum(entropy_from_weight(best_w, total), covers)
 
 
@@ -109,7 +106,7 @@ def exact_assignment_mesc(inst: SetCoverInstance) -> Optimum:
     for o in owners:
         work *= len(o)
         if work > 5_000_000:
-            raise ValueError(GUARD_MSG)
+            raise GuardError(GUARD_MSG)
     best_w = -1
     best: set = set()
     counts = [0] * m
@@ -144,7 +141,7 @@ def exact_orientation(inst: GraphInstance) -> Optimum:
     """All 2^|E| orientations; optimal per-vertex charge vectors."""
     ne = len(inst.edges)
     if ne > 16:
-        raise ValueError(GUARD_MSG)
+        raise GuardError(GUARD_MSG)
     if ne == 0:
         raise ValueError("graph has no edges")
     n = inst.n_vertices
@@ -206,7 +203,7 @@ def exact_mest(inst: GraphInstance) -> Optimum:
     weight (there are usually very few)."""
     n = inst.n_vertices
     if n > 9:
-        raise ValueError(GUARD_MSG)
+        raise GuardError(GUARD_MSG)
     if not inst.is_connected():
         raise ValueError("spanning-tree optimum requires a connected graph")
     if n == 1:
@@ -288,7 +285,7 @@ def exact_mest_entropy(inst: GraphInstance, max_vertices: int = 20) -> float:
     a 2^(n-1) sweep, so only the spanning-tree count limits size."""
     n = inst.n_vertices
     if n > max_vertices:
-        raise ValueError(GUARD_MSG)
+        raise GuardError(GUARD_MSG)
     if not inst.is_connected():
         raise ValueError("spanning-tree optimum requires a connected graph")
     if n == 1:

@@ -150,9 +150,11 @@ def min_alpha(oracle: PolymatroidOracle, trace: GreedyTrace,
 
     Only multiples c/delta_r can change any floor(alpha*delta_r), so the
     finite ascending candidate sweep is exact; the first feasible
-    candidate over any supplied optimal cover is returned.  Candidates
-    below 1 are always infeasible (every floor drops strictly below its
-    marginal), so the result is >= 1 whenever the inputs are valid.
+    candidate over any supplied optimal cover is returned.  The sweep
+    starts at 1: for alpha < 1 every positive marginal has
+    floor(alpha*delta_r) <= alpha*delta_r < delta_r, so the sink
+    capacities sum to less than sum(delta_r) = n and no flow of value n
+    exists.  Hence the result is >= 1.
     """
     if not optimal_covers:
         raise ValueError("need at least one optimal cover")
@@ -160,7 +162,7 @@ def min_alpha(oracle: PolymatroidOracle, trace: GreedyTrace,
         coeffs = coefficients(oracle, trace)
     n = oracle.total()
     deltas = trace.deltas
-    cands = sorted({Fraction(c, d) for d in deltas for c in range(n + 1)})
+    cands = sorted({Fraction(c, d) for d in deltas for c in range(d, n + 1)})
     for alpha in cands:
         caps = [(alpha.numerator * d) // alpha.denominator for d in deltas]
         for cover in optimal_covers:

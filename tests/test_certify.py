@@ -6,7 +6,7 @@ from entcover.certify import (MultiLevelFlow, PathOrdering, TreeMove,
                               transform_tree, verify_beta_one)
 from entcover.core import LOG2E
 from entcover.exact import exact_mest
-from entcover.greedy import run_greedy
+from entcover.greedy import coefficients, run_greedy
 from entcover.instances import (GraphInstance, complete_mest_solution,
                                 generate_random, mest_oracle)
 
@@ -180,6 +180,15 @@ class TestVerifyBetaOne:
         assert rep["bound_holds"]
         assert rep["entropies"]["greedy_bits"] == pytest.approx(0.0, abs=1e-12)
         assert rep["entropies"]["optimal_bits"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_precomputed_inputs_match(self):
+        for seed in range(6):
+            g = generate_random("mest", seed, n_vertices=5 + seed % 3)
+            o = mest_oracle(g)
+            trace = run_greedy(o)
+            held = verify_beta_one(g, trace=trace, opt=exact_mest(g),
+                                   coeffs=coefficients(o, trace))
+            assert held == verify_beta_one(g), seed
 
     def test_report_shape(self):
         rep = verify_beta_one(TRIANGLE)

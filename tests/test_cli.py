@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -32,6 +33,20 @@ def test_greedy_json(tmp_path, capsys):
     assert rep["cover_valid"] is True
     assert rep["greedy_entropy_bits"] == pytest.approx(0.9182958340544896, abs=1e-10)
     assert "elapsed_seconds" in rep
+
+
+def test_greedy_elapsed_includes_validity_check(tmp_path, capsys, monkeypatch):
+    real = cli.validate_cover
+
+    def slow_validate(oracle, cover):
+        time.sleep(0.2)
+        return real(oracle, cover)
+
+    monkeypatch.setattr(cli, "validate_cover", slow_validate)
+    f = write(tmp_path, "a.mesc", MESC)
+    code, out, _ = run(capsys, "greedy", f, "--json")
+    assert code == 0
+    assert json.loads(out)["elapsed_seconds"] >= 0.2
 
 
 def test_greedy_plain_output(tmp_path, capsys):
@@ -169,6 +184,43 @@ def test_batch_seeds(capsys):
     assert len(lines) == 3
     assert [l["id"] for l in lines] == sorted(l["id"] for l in lines)
     assert all(l["status"] == "ok" for l in lines)
+
+
+def test_batch_internal_error_keeps_going(capsys, monkeypatch):
+    real = cli.exact_cover
+    calls = []
+
+    def flaky(oracle):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("invariant broken: test fault")
+        return real(oracle)
+
+    monkeypatch.setattr(cli, "exact_cover", flaky)
+    code, out, err = run(capsys, "batch", "--seeds", "1:3", "--kind", "mesc",
+                         "--json")
+    assert code == 1
+    rows = [json.loads(l) for l in out.strip().splitlines()]
+    assert [r["status"] for r in rows] == ["ok", "error-internal", "ok"]
+    assert rows[1]["reason"] == "RuntimeError: invariant broken: test fault"
+    assert "Traceback" in err
+
+
+def test_verify_mest_runs_exact_mest_once(tmp_path, capsys, monkeypatch):
+    from entcover import certify
+    real = cli.exact_mest
+    calls = []
+
+    def counted(inst):
+        calls.append(1)
+        return real(inst)
+
+    monkeypatch.setattr(cli, "exact_mest", counted)
+    monkeypatch.setattr(certify, "exact_mest", counted)
+    f = write(tmp_path, "t.graph", TRIANGLE)
+    code, _, _ = run(capsys, "verify", f, "--kind", "mest", "--json")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_batch_seeds_need_kind(capsys):

@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 
+from entcover import exact
 from entcover.core import (Cover, GroundSet, PolymatroidOracle,
-                           entropy_from_weight, validate_cover,
-                           weight_product)
-from entcover.exact import (GUARD_MSG, exact_assignment_mesc, exact_cover,
-                            exact_mest, exact_mest_entropy, exact_orientation)
+                           check_polymatroid, entropy_from_weight,
+                           validate_cover, weight_product)
+from entcover.exact import (GUARD_MSG, GuardError, exact_assignment_mesc,
+                            exact_cover, exact_mest, exact_mest_entropy,
+                            exact_orientation)
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 generate_random, mesc_oracle, meo_oracle,
                                 mest_oracle)
@@ -49,6 +52,83 @@ def test_guards():
     wide = SetCoverInstance(21, (frozenset(range(21)), frozenset(range(21))))
     with pytest.raises(ValueError, match=GUARD_MSG):
         exact_cover(mesc_oracle(wide))
+
+
+def test_every_guard_raises_guard_error():
+    big_m = SetCoverInstance(9, tuple(frozenset({i}) for i in range(9)))
+    many_owners = SetCoverInstance(8, tuple(frozenset(range(8)) for _ in range(8)))
+    path10 = GraphInstance(10, tuple((i, i + 1) for i in range(9)))
+    k7 = GraphInstance(7, tuple((i, j) for i in range(7) for j in range(i + 1, 7)))
+    for solve in (lambda: exact_cover(mesc_oracle(big_m)),
+                  lambda: exact_assignment_mesc(many_owners),
+                  lambda: exact_orientation(k7),
+                  lambda: exact_mest(path10),
+                  lambda: exact_mest_entropy(path10, max_vertices=9)):
+        with pytest.raises(GuardError, match=GUARD_MSG):
+            solve()
+
+
+def compositions(total, m):
+    """Every nonnegative integer vector of length m summing to total."""
+    if m == 1:
+        yield (total,)
+        return
+    for v in range(total + 1):
+        for rest in compositions(total - v, m - 1):
+            yield (v,) + rest
+
+
+def brute_force_optimum(oracle):
+    """Reference optimum: score every vector validate_cover accepts."""
+    total = oracle.total()
+    best_w, best = -1, []
+    for x in compositions(total, oracle.m):
+        if not validate_cover(oracle, Cover(x))[0]:
+            continue
+        w = weight_product(x)
+        if w > best_w:
+            best_w, best = w, [x]
+        elif w == best_w:
+            best.append(x)
+    return tuple(sorted(best)), entropy_from_weight(best_w, total)
+
+
+def planted_set_function(m, seed):
+    """A set function outside the polymatroid axioms with a known cover:
+    f(S) = x*(S) + random slack, and f(U) = x*(U) exactly."""
+    rng = random.Random(seed)
+    planted = [rng.randrange(4) for _ in range(m)]
+    full = (1 << m) - 1
+    vals = [0] + [sum(planted[j] for j in range(m) if s >> j & 1)
+                  + (0 if s == full else rng.randrange(3))
+                  for s in range(1, full + 1)]
+    return PolymatroidOracle(GroundSet(m), vals.__getitem__)
+
+
+def test_matches_brute_force_reference():
+    oracles = []
+    for seed in range(4):
+        oracles += [
+            mesc_oracle(generate_random('mesc', seed, m=3 + seed % 3, n=6)),
+            meo_oracle(generate_random('meo', 100 + seed,
+                                       n_vertices=4 + seed % 2)),
+            mest_oracle(generate_random('mest', 200 + seed,
+                                        n_vertices=4 + seed % 3)),
+        ]
+    odd = planted_set_function(5, 7)
+    assert not check_polymatroid(odd)[0]
+    oracles.append(odd)
+    for i, o in enumerate(oracles):
+        covers, ent = brute_force_optimum(o)
+        opt = exact_cover(o)
+        assert xs(opt) == covers, i
+        assert opt.entropy == ent, i
+
+
+def test_invalid_optimum_is_internal_error(monkeypatch):
+    monkeypatch.setattr(exact, "validate_cover", lambda oracle, cover: (False, 1))
+    with pytest.raises(RuntimeError, match="invariant broken"):
+        exact_cover(mesc_oracle(SETS))
 
 
 def test_degenerate_total():

@@ -160,6 +160,25 @@ class MinAlpha(unittest.TestCase):
         with self.assertRaises(ValueError):
             min_alpha(o, trace, [])
 
+    def test_probes_start_at_one(self):
+        from unittest import mock
+        from entcover import flow
+        for seed in range(6):
+            for kind, mk in (("mesc", mesc_oracle), ("meo", meo_oracle),
+                             ("mest", mest_oracle)):
+                inst = generate_random(kind, seed)
+                o = mk(inst)
+                trace = run_greedy(o)
+                opt = exact_cover(mk(inst))
+                with mock.patch.object(flow, "build_alpha_network",
+                                       wraps=flow.build_alpha_network) as spy:
+                    min_alpha(o, trace, opt.covers)
+                # alpha >= 1 exactly when every floor(alpha*delta) >= delta
+                for call in spy.call_args_list:
+                    caps = call.args[3]
+                    self.assertTrue(all(c >= d for c, d in zip(caps, trace.deltas)),
+                                    (kind, seed))
+
     def test_at_least_one_across_kinds(self):
         for seed in range(12):
             for kind, mk in (("mesc", mesc_oracle), ("meo", meo_oracle),
