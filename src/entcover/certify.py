@@ -31,13 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import LOG2E, Cover, entropy
+from .core import LOG2E, entropy
 from .exact import Optimum, exact_mest
 from .greedy import CoefficientTable, GreedyTrace, coefficients, run_greedy
 from .instances import (Edge, GraphInstance, TreeCoverSolution,
-                        complete_mest_solution, mest_oracle)
+                        complete_mest_solution, find, mest_oracle)
 
 Arc = Tuple[int, int]
+
+# schedule attempts transform_tree makes in its relaxed search; the
+# capacity-clean search before it gets a tenth of them
+SCHEDULE_ATTEMPTS = 20000
 
 
 @dataclass(frozen=True)
@@ -110,15 +114,8 @@ def is_spanning_tree(n: int, edges: Sequence[Edge]) -> bool:
     if len(edges) != n - 1:
         return False
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for (u, v) in edges:
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru == rv:
             return False
         parent[ru] = rv
@@ -276,19 +273,12 @@ def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int]
             path.append(prev[path[-1]])
         return path[::-1]
 
-    def comps_without(e: Edge):
+    def comps_without(e: Edge) -> List[int]:
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e2 in cur:
             if e2 != e:
-                parent[find(e2[0])] = find(e2[1])
-        return find
+                parent[find(parent, e2[0])] = find(parent, e2[1])
+        return parent
 
     def cascade_arcs(path: List[int], s: int) -> List[Arc]:
         # what the cascade will emit, for scoring, without mutating cur
@@ -310,10 +300,11 @@ def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int]
                       key=lambda e2: (-max(rank[e2[0]], rank[e2[1]]), e2))
         alts = []
         for e2 in cand:
-            find = comps_without(e2)
-            side = find(e2[0])
+            parent = comps_without(e2)
+            side = find(parent, e2[0])
             crossing = sorted(d for d in tg if d not in cur
-                              and (find(d[0]) == side) != (find(d[1]) == side))
+                              and (find(parent, d[0]) == side)
+                              != (find(parent, d[1]) == side))
             for d in crossing:
                 for direction in (0, 1):
                     alts.append((e2, d, direction))
@@ -420,8 +411,7 @@ def _decompose(n: int, x0: Sequence[int], gamma: Sequence[int],
 
 
 def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
-                   greedy_sol: TreeCoverSolution, rank: Sequence[int],
-                   max_attempts: int = 20000
+                   greedy_sol: TreeCoverSolution, rank: Sequence[int]
                    ) -> Tuple[Tuple[TreeMove, ...], MultiLevelFlow]:
     """Find a move schedule from the optimal tree to the greedy tree whose
     induced multi-level flow has biased, admissible unit paths.
@@ -444,13 +434,7 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
     if any(rank[v] != i + 1 for i, v in enumerate(chosen)):
         raise ValueError("rank does not list the charged vertices first")
     oracle = mest_oracle(inst)
-    prefixes = []
-    mask = 0
-    for v in chosen:
-        mask |= 1 << v
-        prefixes.append(mask)
-    trace = GreedyTrace(tuple(chosen), tuple(gamma[v] for v in chosen),
-                        tuple(prefixes), tuple(rank), Cover(tuple(gamma)))
+    trace = GreedyTrace.from_chain(n, chosen, [gamma[v] for v in chosen])
     for r, v in enumerate(chosen):
         if oracle.eval(trace.prefix(r + 1)) - oracle.eval(trace.prefix(r)) != gamma[v]:
             raise ValueError("greedy solution charges disagree with the oracle marginals")
@@ -478,7 +462,8 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
 
     # capacity-clean schedules first; fall back to bias/admissibility-only
     # gating, which is what the certificate checks actually require
-    hit = search(True, max_attempts // 10) or search(False, max_attempts)
+    hit = (search(True, SCHEDULE_ATTEMPTS // 10)
+           or search(False, SCHEDULE_ATTEMPTS))
     if hit is None:
         raise ValueError("invariant broken: no certifiable schedule found")
     moves, arcs, traj = hit

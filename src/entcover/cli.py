@@ -13,8 +13,6 @@ error, 3 instance exceeds an exact-solver size guard.
 
 Reports carry units in their field names (_bits, _seconds).  --json
 emits one JSON object per line; the schema is documented in README.md.
-ENTCOVER_THREADS (default 1) controls batch-mode worker threads; output
-order is independent of thread count.
 """
 
 from __future__ import annotations
@@ -241,17 +239,17 @@ def _batch_one(item, kind_flag, tie_break):
         kind = _resolve_kind(inst, kind_flag if isinstance(inst, GraphInstance) else None)
         report = _verify_report(inst, kind, tie_break)
     except GuardError as exc:
-        return ident, {"id": ident, "status": "skipped", "reason": str(exc)}, 3
+        return {"id": ident, "status": "skipped", "reason": str(exc)}, 3
     except ValueError as exc:
-        return ident, {"id": ident, "status": "error", "reason": str(exc)}, 2
+        return {"id": ident, "status": "error", "reason": str(exc)}, 2
     except Exception as exc:  # a library fault: report it, keep the batch going
         import traceback  # only on this path: it adds ~5 ms to every start-up
         traceback.print_exc()
-        return ident, {"id": ident, "status": "error-internal",
-                       "reason": f"{type(exc).__name__}: {exc}"}, 1
+        return {"id": ident, "status": "error-internal",
+                "reason": f"{type(exc).__name__}: {exc}"}, 1
     report["id"] = ident
     report["status"] = "ok" if report["ok"] else "bound-violation"
-    return ident, report, 0 if report["ok"] else 1
+    return report, 0 if report["ok"] else 1
 
 
 def cmd_batch(args) -> int:
@@ -259,18 +257,9 @@ def cmd_batch(args) -> int:
         raise ValueError("batch needs exactly one of --dir or --seeds A:B")
     if args.seeds is not None and args.kind is None:
         raise ValueError("--seeds requires --kind")
-    jobs = list(_batch_jobs(args))
-    threads = int(os.environ.get("ENTCOVER_THREADS", "1") or "1")
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda it: _batch_one(it, args.kind, args.tie_break), jobs))
-    else:
-        results = [_batch_one(it, args.kind, args.tie_break) for it in jobs]
-    results.sort(key=lambda r: r[0])
     worst = 0
-    for _, report, code in results:
+    for item in _batch_jobs(args):  # file-name order, or seed order
+        report, code = _batch_one(item, args.kind, args.tie_break)
         if args.json:
             print(json.dumps(report, sort_keys=True))
         else:

@@ -1,5 +1,12 @@
 """Exhaustive ground-truth solvers for desk-scale instances.
 
+One enumerator finds the optimal cover vectors of any polymatroid
+oracle: ``exact_cover`` runs it within its size guard, and
+``exact_mest`` runs it on the spanning-tree oracle and realises each
+optimal vector as a charged tree.  The set-cover assignment search,
+the orientation sweep and the spanning-tree enumeration behind
+``exact_mest_entropy`` are independent routes, kept as cross-checks.
+
 Optima are selected by maximizing the integer weight prod x_j^{x_j},
 which orders covers exactly opposite to entropy for a fixed total, so
 ties are resolved without floating-point comparisons.
@@ -13,10 +20,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import (Cover, PolymatroidOracle, entropy_from_weight,
                    validate_cover, weight_product)
+from .greedy import GreedyTrace
 from .instances import (Edge, GraphInstance, OrientationSolution,
-                        SetCoverInstance, TreeCoverSolution)
+                        SetCoverInstance, complete_mest_solution, find,
+                        mest_oracle)
 
 GUARD_MSG = "instance too large for exact solver"
+MEST_ENTROPY_MAX_VERTICES = 20  # exact_mest_entropy's guard
 
 
 class GuardError(ValueError):
@@ -34,6 +44,14 @@ class Optimum:
 
 
 def exact_cover(oracle: PolymatroidOracle) -> Optimum:
+    """Every optimal cover of the polymatroid, for ground sets of at
+    most 8 elements and f(U) of at most 20; see _optimal_covers."""
+    if oracle.m > 8 or oracle.total() > 20:
+        raise GuardError(GUARD_MSG)
+    return _optimal_covers(oracle)
+
+
+def _optimal_covers(oracle: PolymatroidOracle) -> Optimum:
     """Enumerate all covers of the polymatroid and keep the best set.
 
     Depth-first over elements, with f read once into a table indexed by
@@ -42,16 +60,18 @@ def exact_cover(oracle: PolymatroidOracle) -> Optimum:
     f(S + j) - x(S) over subsets S of the prefix; the lower bound makes
     the remaining elements able to absorb the remaining total.
 
+    The last two elements are settled together: the last one takes the
+    remainder, so its bounds turn into bounds on the one before, and of
+    the values left only the two extremes can maximize the weight.
+
     Every leaf is therefore a cover, for any set function: each subset
-    T is bounded when its largest element is assigned, and the lower
-    bound at the last element forces sum(x) = f(U).  So leaves are
-    scored unchecked, and validate_cover runs once per returned optimum
-    as an invariant check; a failure raises RuntimeError.
+    T is bounded when its largest element is assigned, and the last
+    element takes exactly the remainder, so sum(x) = f(U).  So leaves
+    are scored unchecked, and validate_cover runs once per returned
+    optimum as an invariant check; a failure raises RuntimeError.
     """
     m = oracle.m
     total = oracle.total()
-    if m > 8 or total > 20:
-        raise GuardError(GUARD_MSG)
     if total < 1:
         raise ValueError("degenerate polymatroid: f(U) = 0")
     full = 1 << m
@@ -69,22 +89,35 @@ def exact_cover(oracle: PolymatroidOracle) -> Optimum:
         bit = 1 << j
         low = sums[:bit]
         hi = min(remaining, min(map(sub, f[bit:2 * bit], low)))
-        if j == last:  # the lower bound here is the whole remainder
-            if hi == remaining:
-                x[j] = remaining
-                w *= self_pow[remaining]
-                if w > best_w:
-                    best_w = w
-                    best = [tuple(x)]
-                elif w == best_w:
-                    best.append(tuple(x))
+        if j < last - 1:
+            for v in range(max(0, remaining - suffix_cap[j + 1]), hi + 1):
+                x[j] = v
+                sums[bit:2 * bit] = [s + v for s in low]
+                rec(j + 1, remaining - v, w * self_pow[v])
             return
-        for v in range(max(0, remaining - suffix_cap[j + 1]), hi + 1):
-            x[j] = v
-            sums[bit:2 * bit] = [s + v for s in low]
-            rec(j + 1, remaining - v, w * self_pow[v])
+        # j = m - 2, and the last element takes remaining - x_j: its
+        # bounds f(S + last) and f(S + j + last), S within the prefix,
+        # become a lower bound on x_j and a test that x_j does not affect
+        top = 2 * bit  # the last element's bit
+        if min(map(sub, f[top + bit:2 * top], low)) < remaining:
+            return
+        lo = max(0, remaining - min(map(sub, f[top:top + bit], low)))
+        if lo > hi:
+            return
+        # log(v^v (r - v)^(r - v)) is strictly convex in v, so no v
+        # strictly inside [lo, hi] can be optimal
+        for v in (lo, hi) if lo < hi else (lo,):
+            x[j], x[last] = v, remaining - v
+            wv = w * self_pow[v] * self_pow[remaining - v]
+            if wv > best_w:
+                best_w, best = wv, []
+            if wv == best_w:
+                best.append(tuple(x))
 
-    rec(0, total, 1)
+    if m == 1:  # f({0}) = f(U): the one element takes the total
+        best_w, best = self_pow[total], [(total,)]
+    else:
+        rec(0, total, 1)
     if not best:
         raise ValueError("no valid cover found; oracle is not a polymatroid")
     best.sort()
@@ -92,8 +125,8 @@ def exact_cover(oracle: PolymatroidOracle) -> Optimum:
     for cover in covers:
         ok, witness = validate_cover(oracle, cover)
         if not ok:
-            raise RuntimeError(f"invariant broken: exact_cover returned "
-                               f"{cover.x}, which violates subset {witness}")
+            raise RuntimeError(f"invariant broken: optimal cover {cover.x} "
+                               f"violates subset {witness}")
     return Optimum(entropy_from_weight(best_w, total), covers)
 
 
@@ -172,12 +205,6 @@ def _spanning_trees(n: int, edges: Tuple[Edge, ...]):
     need = n - 1
     ne = len(edges)
 
-    def find(parent: List[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def rec(idx: int, chosen: List[int], parent: List[int]):
         if len(chosen) == need:
             yield tuple(chosen)
@@ -198,44 +225,56 @@ def _spanning_trees(n: int, edges: Tuple[Edge, ...]):
 
 
 def exact_mest(inst: GraphInstance) -> Optimum:
-    """Spanning trees by backtracking; per-tree charge optimum by DP, so
-    the 2^(n-1) charge sweep only runs on trees that attain the best
-    weight (there are usually very few)."""
+    """Every optimal tree-cover vector, each with one charged spanning
+    tree that realises it, for graphs of at most 9 vertices.
+
+    The vectors are the optima of the spanning-tree oracle, found by
+    _optimal_covers, the enumerator behind exact_cover.  Entropy is
+    strictly concave, so each optimal integer cover x is a vertex of the
+    base polytope, and every vertex is a greedy vector along some
+    element order (Edmonds 1970).  The sets S with x(S) = f(S) are
+    closed under union and intersection, so a tight order of x's
+    support can be grown one step at a time, and complete_mest_solution
+    turns that order into a tree charged exactly x.  A missing tight
+    step or a tree charged otherwise raises RuntimeError.
+    """
     n = inst.n_vertices
     if n > 9:
         raise GuardError(GUARD_MSG)
     if not inst.is_connected():
         raise ValueError("spanning-tree optimum requires a connected graph")
-    if n == 1:
-        raise ValueError("degenerate polymatroid: f(U) = 0")
-    ne = n - 1
-    best_w = -1
-    best_trees: List[Tuple[int, ...]] = []
-    for tree_idx in _spanning_trees(n, inst.edges):
-        w = _best_charge_weight(n, [inst.edges[i] for i in tree_idx])
-        if w > best_w:
-            best_w = w
-            best_trees = [tree_idx]
-        elif w == best_w:
-            best_trees.append(tree_idx)
-    found: Dict[Tuple[int, ...], TreeCoverSolution] = {}
-    for tree_idx in best_trees:
-        tree = [inst.edges[i] for i in tree_idx]
-        for mask in range(1 << ne):
-            c = [0] * n
-            charge = []
-            for i, (u, v) in enumerate(tree):
-                w = u if (mask >> i) & 1 else v
-                charge.append(w)
-                c[w] += 1
-            if weight_product(c) == best_w:
-                vec = tuple(c)
-                if vec not in found:
-                    found[vec] = TreeCoverSolution(n, tuple(tree), tuple(charge))
-    vecs = sorted(found)
-    covers = tuple(Cover(t) for t in vecs)
-    sols = tuple(found[t] for t in vecs)
-    return Optimum(entropy_from_weight(best_w, ne), covers, sols)
+    oracle = mest_oracle(inst)  # f(U) = n - 1: n = 1 is refused as degenerate
+    opt = _optimal_covers(oracle)
+    sols = []
+    for cover in opt.covers:
+        x = cover.x
+        order = _tight_order(oracle, x)
+        trace = GreedyTrace.from_chain(n, order, [x[j] for j in order])
+        sol = complete_mest_solution(inst, trace)
+        if sol.charge_vector() != x:
+            raise RuntimeError(f"invariant broken: the tree built for {x} "
+                               f"is charged {sol.charge_vector()}")
+        sols.append(sol)
+    return Optimum(opt.entropy, opt.covers, tuple(sols))
+
+
+def _tight_order(oracle: PolymatroidOracle, x: Tuple[int, ...]) -> List[int]:
+    """The positive entries of x in an order along which each marginal
+    f(W + j) - f(W) equals x_j, taking the lowest such j at each step."""
+    pending = [j for j, v in enumerate(x) if v]
+    order: List[int] = []
+    w = fw = 0
+    while pending:
+        j = next((j for j in pending
+                  if oracle.eval(w | 1 << j) - fw == x[j]), None)
+        if j is None:
+            raise RuntimeError(f"invariant broken: no tight step extends "
+                               f"{order} for cover {x}")
+        pending.remove(j)
+        order.append(j)
+        w |= 1 << j
+        fw += x[j]
+    return order
 
 
 _SELF_POW = [1]  # j^j with the 0^0 = 1 convention
@@ -279,12 +318,14 @@ def _best_charge_weight(n: int, tree: List[Edge]) -> int:
     return max(droot[j] * _self_pow(j) for j in range(len(droot)))
 
 
-def exact_mest_entropy(inst: GraphInstance, max_vertices: int = 20) -> float:
-    """Optimal tree-cover entropy only, for graphs past the witness
-    solver's guard: per-tree charge optimization is a tree DP instead of
-    a 2^(n-1) sweep, so only the spanning-tree count limits size."""
+def exact_mest_entropy(inst: GraphInstance) -> float:
+    """Optimal tree-cover entropy only, by a route independent of the
+    enumerator: every spanning tree, each charged optimally by a tree
+    DP.  It reaches past exact_mest's guard, to
+    MEST_ENTROPY_MAX_VERTICES vertices; the spanning-tree count is what
+    limits its size in practice."""
     n = inst.n_vertices
-    if n > max_vertices:
+    if n > MEST_ENTROPY_MAX_VERTICES:
         raise GuardError(GUARD_MSG)
     if not inst.is_connected():
         raise ValueError("spanning-tree optimum requires a connected graph")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import Cover, PolymatroidOracle
-from .instances import GraphInstance
+from .instances import GraphInstance, find
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,29 @@ class GreedyTrace:
     @property
     def length(self) -> int:
         return len(self.order)
+
+    @classmethod
+    def from_chain(cls, m: int, order, deltas) -> "GreedyTrace":
+        """The trace of an element order and its marginal gains on a
+        ground set of size m; prefixes, rank and cover follow from them."""
+        prefixes = []
+        mask = 0
+        for j in order:
+            mask |= 1 << j
+            prefixes.append(mask)
+        rank = [0] * m
+        for r, j in enumerate(order):
+            rank[j] = r + 1
+        nxt = len(order) + 1
+        for j in range(m):
+            if rank[j] == 0:
+                rank[j] = nxt
+                nxt += 1
+        x = [0] * m
+        for j, d in zip(order, deltas):
+            x[j] = d
+        return cls(tuple(order), tuple(deltas), tuple(prefixes),
+                   tuple(rank), Cover(tuple(x)))
 
 
 def _tie_key(policy: str, m: int) -> List[int]:
@@ -70,7 +93,6 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
     key = _tie_key(tie_break, m)
     order: List[int] = []
     deltas: List[int] = []
-    prefixes: List[int] = []
     s = 0
     fs = 0
     if lazy:
@@ -97,7 +119,6 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
             fs += g
             order.append(j)
             deltas.append(g)
-            prefixes.append(s)
     else:
         remaining = set(range(m))
         while fs < total:
@@ -119,23 +140,10 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
             remaining.discard(best_j)
             order.append(best_j)
             deltas.append(g)
-            prefixes.append(s)
     if fs != total:
         # overshot f(U): some f(W) > f(U) with W inside U
         raise ValueError("non-monotone oracle")
-    rank = [0] * m
-    for r, j in enumerate(order):
-        rank[j] = r + 1
-    nxt = len(order) + 1
-    for j in range(m):
-        if rank[j] == 0:
-            rank[j] = nxt
-            nxt += 1
-    x = [0] * m
-    for j, d in zip(order, deltas):
-        x[j] = d
-    return GreedyTrace(tuple(order), tuple(deltas), tuple(prefixes),
-                       tuple(rank), Cover(tuple(x)))
+    return GreedyTrace.from_chain(m, order, deltas)
 
 
 @dataclass(frozen=True)
@@ -219,24 +227,13 @@ def specialized_coefficients(inst: GraphInstance, trace: GreedyTrace,
         return CoefficientTable(tuple(rows))
 
     # mest: disjoint-set contraction per (step, element) pair
-    def component_finder(touch_mask: int):
+    def merged_components(ir: int, touch_mask: int) -> int:
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for (u, v) in inst.edges:
             if (touch_mask >> u) & 1 or (touch_mask >> v) & 1:
-                parent[find(u)] = find(v)
-        return find
-
-    def merged_components(ir: int, touch_mask: int) -> int:
-        find = component_finder(touch_mask)
-        own = find(ir)
-        return len({find(k) for k in adj[ir]} - {own})
+                parent[find(parent, u)] = find(parent, v)
+        own = find(parent, ir)
+        return len({find(parent, k) for k in adj[ir]} - {own})
 
     for r in range(trace.length):
         ir = trace.order[r]

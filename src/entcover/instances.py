@@ -19,6 +19,15 @@ if TYPE_CHECKING:  # pragma: no cover
 Edge = Tuple[int, int]
 
 
+def find(parent: Union[List[int], Dict[int, int]], x: int) -> int:
+    """Root of x in a disjoint-set forest held as a list or a dict of
+    parent pointers, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class SetCoverInstance:
     """A family of m subsets covering the universe {0..n_elements-1}."""
@@ -69,19 +78,10 @@ class GraphInstance:
             seen.add((u, v))
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 1:
-            return True
         parent = list(range(self.n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self.edges:
-            parent[find(u)] = find(v)
-        return len({find(i) for i in range(self.n_vertices)}) == 1
+            parent[find(parent, u)] = find(parent, v)
+        return len({find(parent, i) for i in range(self.n_vertices)}) == 1
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         out = [b if a == v else a for (a, b) in self.edges if v in (a, b)]
@@ -124,17 +124,10 @@ class TreeCoverSolution:
         if len(self.charge) != n - 1:
             raise ValueError("charge length mismatch")
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e, w in zip(self.tree_edges, self.charge):
             if w not in e:
                 raise ValueError(f"charge vertex {w} not incident to edge {e}")
-            ru, rv = find(e[0]), find(e[1])
+            ru, rv = find(parent, e[0]), find(parent, e[1])
             if ru == rv:
                 raise ValueError(f"edge {e} closes a cycle")
             parent[ru] = rv
@@ -199,22 +192,15 @@ def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
 
     def fn(sub: int) -> int:
         parent: Dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for (u, v) in edges:
             if (sub >> u) & 1 or (sub >> v) & 1:
                 if u not in parent:
                     parent[u] = u
                 if v not in parent:
                     parent[v] = v
-                parent[find(u)] = find(v)
+                parent[find(parent, u)] = find(parent, v)
         touched = len(parent)
-        comps = len({find(x) for x in parent})
+        comps = len({find(parent, x) for x in parent})
         return touched - comps
 
     return PolymatroidOracle(GroundSet(inst.n_vertices), fn)
@@ -227,25 +213,20 @@ def complete_mest_solution(inst: GraphInstance, trace: "GreedyTrace") -> TreeCov
     per pre-existing tree component among its neighbors (lowest-index
     neighbor within each component), which includes every untouched
     neighbor as its own singleton component.  All added edges are charged
-    to the chosen vertex, so the charge vector equals the greedy cover.
+    to the chosen vertex, so the charge vector equals the trace's cover.
+    Any order whose deltas are the oracle's marginals along it will do,
+    not only a greedy one: exact_mest passes tight orders of optima.
     """
     n = inst.n_vertices
     nbr = {v: inst.neighbors(v) for v in range(n)}
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree: List[Edge] = []
     charge: List[int] = []
     for r, ir in enumerate(trace.order):
         comp_pick: Dict[int, int] = {}
         for k in nbr[ir]:
-            c = find(k)
-            if c != find(ir) and c not in comp_pick:
+            c = find(parent, k)
+            if c != find(parent, ir) and c not in comp_pick:
                 comp_pick[c] = k  # nbr sorted => lowest-index per component
         if len(comp_pick) != trace.deltas[r]:
             raise AssertionError("completion size disagrees with greedy marginal")
@@ -253,7 +234,7 @@ def complete_mest_solution(inst: GraphInstance, trace: "GreedyTrace") -> TreeCov
             e = (ir, k) if ir < k else (k, ir)
             tree.append(e)
             charge.append(ir)
-            parent[find(k)] = find(ir)
+            parent[find(parent, k)] = find(parent, ir)
     return TreeCoverSolution(n, tuple(tree), tuple(charge))
 
 

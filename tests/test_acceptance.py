@@ -10,11 +10,12 @@ import time
 from fractions import Fraction
 
 from conftest import record_acceptance
+from mest_reference import mest_by_tree_enumeration
 
 from entcover.core import (LOG2E, check_polymatroid, entropy,
                            entropy_from_weight, weight_product)
 from entcover.exact import (GuardError, exact_assignment_mesc, exact_cover,
-                            exact_mest, exact_mest_entropy, exact_orientation)
+                            exact_mest_entropy, exact_orientation)
 from entcover.flow import approximation_bound, min_alpha
 from entcover.greedy import (coefficients, run_greedy,
                              specialized_coefficients)
@@ -266,7 +267,7 @@ def test_criterion_8_cross_formulation():
         kept += 1
     for seed in range(20):
         g = generate_random("mest", seed, n_vertices=4 + seed % 4)
-        a = exact_mest(g)
+        a = mest_by_tree_enumeration(g)
         b = exact_cover(mest_oracle(g))
         assert tuple(c.x for c in a.covers) == tuple(c.x for c in b.covers), seed
         agreements += 1

@@ -228,6 +228,14 @@ def test_batch_seeds_need_kind(capsys):
     assert code == 2
 
 
+def test_batch_seeds_in_seed_order(capsys):
+    code, out, _ = run(capsys, "batch", "--seeds", "9999:10000", "--kind",
+                       "meo", "--json")
+    assert code == 0
+    ids = [json.loads(l)["id"] for l in out.strip().splitlines()]
+    assert ids == ["meo-9999", "meo-10000"]
+
+
 def test_batch_dir(tmp_path, capsys):
     write(tmp_path, "b.mesc", MESC)
     write(tmp_path, "a.mesc", "mesc 1 2\n0 1\n")
@@ -252,24 +260,6 @@ def test_batch_empty_dir(tmp_path, capsys):
     code, out, _ = run(capsys, "batch", "--dir", str(tmp_path))
     assert code == 0
     assert out == ""
-
-
-def strip_timing(out):
-    rows = []
-    for line in out.strip().splitlines():
-        rep = json.loads(line)
-        rep.pop("elapsed_seconds", None)
-        rows.append(rep)
-    return rows
-
-
-def test_batch_threads_match(tmp_path, capsys, monkeypatch):
-    args = ("batch", "--seeds", "1:6", "--kind", "mest", "--json")
-    code1, out1, _ = run(capsys, *args)
-    monkeypatch.setenv("ENTCOVER_THREADS", "4")
-    code4, out4, _ = run(capsys, *args)
-    assert code1 == code4
-    assert strip_timing(out1) == strip_timing(out4)
 
 
 def test_unknown_kind_for_mesc_file(tmp_path, capsys):

@@ -11,12 +11,14 @@ from entcover.exact import (GUARD_MSG, GuardError, exact_assignment_mesc,
                             exact_cover, exact_mest, exact_mest_entropy,
                             exact_orientation)
 from entcover.instances import (GraphInstance, SetCoverInstance,
-                                generate_random, mesc_oracle, meo_oracle,
-                                mest_oracle)
+                                TreeCoverSolution, generate_random,
+                                mesc_oracle, meo_oracle, mest_oracle)
+from mest_reference import mest_by_tree_enumeration
 
 SETS = SetCoverInstance(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({2})))
 TRIANGLE = GraphInstance(3, ((0, 1), (0, 2), (1, 2)))
 P3 = GraphInstance(3, ((0, 1), (1, 2)))
+PATH21 = GraphInstance(21, tuple((i, i + 1) for i in range(20)))
 
 
 def xs(opt):
@@ -63,7 +65,7 @@ def test_every_guard_raises_guard_error():
                   lambda: exact_assignment_mesc(many_owners),
                   lambda: exact_orientation(k7),
                   lambda: exact_mest(path10),
-                  lambda: exact_mest_entropy(path10, max_vertices=9)):
+                  lambda: exact_mest_entropy(PATH21)):
         with pytest.raises(GuardError, match=GUARD_MSG):
             solve()
 
@@ -202,10 +204,45 @@ def test_mest_triangle():
 def test_mest_route_agrees():
     for seed in range(15):
         g = generate_random('mest', seed, n_vertices=4 + seed % 4)
-        a = exact_mest(g)
+        a = mest_by_tree_enumeration(g)
         b = exact_cover(mest_oracle(g))
         assert xs(a) == xs(b), seed
         assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
+        assert xs(exact_mest(g)) == xs(b), seed
+
+
+def test_mest_nine_vertices_matches_tree_enumeration():
+    # n = 9 is past exact_cover's guard (m <= 8) but inside exact_mest's
+    for seed in range(3):
+        g = generate_random('mest', 300 + seed, n_vertices=9,
+                            extra_edge_prob=0.1)
+        ref = mest_by_tree_enumeration(g)
+        opt = exact_mest(g)
+        assert xs(opt) == xs(ref), seed
+        assert opt.entropy == ref.entropy, seed
+        for sol, c in zip(opt.solutions, opt.covers):
+            assert set(sol.tree_edges) <= set(g.edges)
+            assert sol.charge_vector() == c.x
+    with pytest.raises(GuardError):
+        exact_cover(mest_oracle(g))
+
+
+def test_mest_wrong_tree_is_internal_error(monkeypatch):
+    wrong = TreeCoverSolution(3, ((0, 1), (1, 2)), (0, 1))  # charged (1, 1, 0)
+    monkeypatch.setattr(exact, "complete_mest_solution",
+                        lambda inst, trace: wrong)
+    with pytest.raises(RuntimeError, match="invariant broken"):
+        exact_mest(P3)
+
+
+def test_tight_order_of_a_non_vertex_is_internal_error():
+    # (1, 1, 0) is a cover of the triangle's spanning-tree polymatroid but
+    # not a vertex of it: every singleton has f({j}) = 2 > 1
+    o = mest_oracle(TRIANGLE)
+    assert validate_cover(o, Cover((1, 1, 0)))[0]
+    with pytest.raises(RuntimeError, match="no tight step"):
+        exact._tight_order(o, (1, 1, 0))
+    assert exact._tight_order(o, (0, 2, 0)) == [1]
 
 
 def test_mest_guards():
@@ -228,8 +265,8 @@ def test_mest_entropy_shortcut():
     # the DP route handles graphs past the witness solver's guard
     star12 = GraphInstance(12, tuple((0, i) for i in range(1, 12)))
     assert exact_mest_entropy(star12) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match=GUARD_MSG):
-        exact_mest_entropy(star12, max_vertices=5)
+    with pytest.raises(GuardError, match=GUARD_MSG):
+        exact_mest_entropy(PATH21)
 
 
 def test_greedy_never_beats_exact():
