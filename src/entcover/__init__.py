@@ -17,8 +17,8 @@ from .instances import (GadgetRoles, GraphInstance, OrientationSolution,
                         SetCoverInstance, TreeCoverSolution,
                         complete_mest_solution, generate_random,
                         hardness_gadget, mesc_oracle, meo_oracle, mest_oracle,
-                        parse_instance, reduction_entropy_relation,
-                        serialize_instance)
+                        parse_instance, realise_cover,
+                        reduction_entropy_relation, serialize_instance)
 from .certify import (MultiLevelFlow, PathOrdering, TreeMove, apply_move,
                       check_admissible, flow_respects_capacities,
                       is_spanning_tree, transform_tree, verify_beta_one)
@@ -31,7 +31,8 @@ __all__ = [
     "iter_bits", "validate_cover", "check_polymatroid",
     "SetCoverInstance", "GraphInstance", "OrientationSolution",
     "TreeCoverSolution", "GadgetRoles", "mesc_oracle", "meo_oracle",
-    "mest_oracle", "complete_mest_solution", "hardness_gadget",
+    "mest_oracle", "complete_mest_solution", "realise_cover",
+    "hardness_gadget",
     "reduction_entropy_relation", "serialize_instance", "parse_instance",
     "generate_random",
     "GreedyTrace", "CoefficientTable", "run_greedy", "coefficients",

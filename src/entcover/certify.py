@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import LOG2E, entropy
+from .core import LOG2E, PolymatroidOracle, entropy
 from .exact import Optimum, exact_mest
 from .greedy import CoefficientTable, GreedyTrace, coefficients, run_greedy
 from .instances import (Edge, GraphInstance, TreeCoverSolution,
@@ -411,14 +411,16 @@ def _decompose(n: int, x0: Sequence[int], gamma: Sequence[int],
 
 
 def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
-                   greedy_sol: TreeCoverSolution, rank: Sequence[int]
+                   greedy_sol: TreeCoverSolution, rank: Sequence[int], *,
+                   oracle: Optional[PolymatroidOracle] = None
                    ) -> Tuple[Tuple[TreeMove, ...], MultiLevelFlow]:
     """Find a move schedule from the optimal tree to the greedy tree whose
     induced multi-level flow has biased, admissible unit paths.
 
     The greedy trace is reconstructed from the greedy solution and rank
     (charges = marginals, order = rank), which fixes the coefficient
-    table used for transition capacities.
+    table used for transition capacities.  A caller that already holds
+    mest_oracle(inst) passes it, to share its cache.
     """
     n = inst.n_vertices
     t1 = opt.as_dict()
@@ -433,7 +435,8 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
         raise ValueError("rank must be a permutation of 1..n_vertices")
     if any(rank[v] != i + 1 for i, v in enumerate(chosen)):
         raise ValueError("rank does not list the charged vertices first")
-    oracle = mest_oracle(inst)
+    if oracle is None:
+        oracle = mest_oracle(inst)
     trace = GreedyTrace.from_chain(n, chosen, [gamma[v] for v in chosen])
     for r, v in enumerate(chosen):
         if oracle.eval(trace.prefix(r + 1)) - oracle.eval(trace.prefix(r)) != gamma[v]:
@@ -519,24 +522,27 @@ def check_admissible(flow: MultiLevelFlow, ordering: PathOrdering,
 def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
                     trace: Optional[GreedyTrace] = None,
                     opt: Optional[Optimum] = None,
-                    coeffs: Optional[CoefficientTable] = None) -> dict:
+                    coeffs: Optional[CoefficientTable] = None,
+                    oracle: Optional[PolymatroidOracle] = None) -> dict:
     """End-to-end certificate for one connected graph: greedy + exact
     optimum + tree transformation + flow checks + the entropy bound with
     the certified multiplier 1.
 
     A caller that already holds the greedy trace (of the mest oracle
-    under ``tie_break``), the ``exact_mest`` optimum or the coefficient
-    table of that trace passes them in; each one left out is computed.
+    under ``tie_break``), the ``exact_mest`` optimum, the coefficient
+    table of that trace or ``mest_oracle(inst)`` itself passes them in;
+    each one left out is computed.  One oracle then serves every step.
 
     The certified multiplier is an infimum over constructions, so ONE
     transformable optimal witness suffices; witnesses sharing the greedy
     edge set are tried first (their schedules are pure reversals)."""
-    oracle = mest_oracle(inst)
+    if oracle is None:
+        oracle = mest_oracle(inst)
     if trace is None:
         trace = run_greedy(oracle, tie_break)
     greedy_sol = complete_mest_solution(inst, trace)
     if opt is None:
-        opt = exact_mest(inst)
+        opt = exact_mest(inst, oracle=oracle)
 
     tg_edges = set(greedy_sol.tree_edges)
     order = sorted(range(len(opt.solutions)),
@@ -547,7 +553,8 @@ def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
     for i in order:
         try:
             moves, flow = transform_tree(inst, opt.solutions[i],
-                                         greedy_sol, trace.rank)
+                                         greedy_sol, trace.rank,
+                                         oracle=oracle)
         except ValueError as exc:
             if "no certifiable schedule" not in str(exc):
                 raise

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 LOG2E = math.log2(math.e)
+VALIDATE_MAX_M = 24  # validate_cover reads all 2^m subsets
 
 
 def popcount(mask: int) -> int:
@@ -176,12 +177,15 @@ def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optio
     Returns ``(True, None)`` when valid, else ``(False, witness)`` where
     witness is the first violated subset in ascending bitmask order
     (the full universe for a totality violation, a singleton for a
-    negative entry).  Cost is Theta(2^m), hence the size guard.
+    negative entry).  Cost is Theta(2^m), so ground sets larger than
+    VALIDATE_MAX_M are refused.  exact_cover runs it on each optimum it
+    returns; entcover greedy runs it only when its cover does not match
+    the linear-time realisation of instances.realise_cover.
     """
     m = oracle.m
     if len(cover.x) != m:
         raise ValueError("cover length does not match ground set")
-    if m > 24:
+    if m > VALIDATE_MAX_M:
         raise ValueError("exhaustive validation infeasible")
     for j, v in enumerate(cover.x):
         if v < 0:

@@ -224,9 +224,11 @@ def _spanning_trees(n: int, edges: Tuple[Edge, ...]):
     yield from rec(0, [], list(range(n)))
 
 
-def exact_mest(inst: GraphInstance) -> Optimum:
+def exact_mest(inst: GraphInstance, *,
+               oracle: Optional[PolymatroidOracle] = None) -> Optimum:
     """Every optimal tree-cover vector, each with one charged spanning
-    tree that realises it, for graphs of at most 9 vertices.
+    tree that realises it, for graphs of at most 9 vertices.  A caller
+    that already holds mest_oracle(inst) passes it, to share its cache.
 
     The vectors are the optima of the spanning-tree oracle, found by
     _optimal_covers, the enumerator behind exact_cover.  Entropy is
@@ -243,7 +245,9 @@ def exact_mest(inst: GraphInstance) -> Optimum:
         raise GuardError(GUARD_MSG)
     if not inst.is_connected():
         raise ValueError("spanning-tree optimum requires a connected graph")
-    oracle = mest_oracle(inst)  # f(U) = n - 1: n = 1 is refused as degenerate
+    if oracle is None:
+        oracle = mest_oracle(inst)
+    # f(U) = n - 1: n = 1 is refused as degenerate
     opt = _optimal_covers(oracle)
     sols = []
     for cover in opt.covers:

@@ -238,6 +238,49 @@ def complete_mest_solution(inst: GraphInstance, trace: "GreedyTrace") -> TreeCov
     return TreeCoverSolution(n, tuple(tree), tuple(charge))
 
 
+def realise_cover(inst: Union[SetCoverInstance, GraphInstance], kind: str,
+                  trace: "GreedyTrace") -> Optional[Tuple[int, ...]]:
+    """Count vector of a concrete cover built along trace.order.
+
+    mesc: each universe element goes to the first chosen set containing
+    it; meo: each edge to its first chosen endpoint; mest: the charged
+    spanning tree of complete_mest_solution.  None when the order
+    leaves an element or edge uncovered, or no charged tree follows it.
+
+    Every unit of the vector is then an element, edge or tree edge
+    incident to its own set or vertex, and tree edges form a forest, so
+    x(S) <= f(S) holds for every S by the definition of f.  A vector
+    that equals the trace's cover and sums to f(U) therefore proves that
+    cover valid in time linear in the instance size, where
+    validate_cover takes 2^m oracle reads.
+    """
+    if kind == "mesc":
+        counts = [0] * inst.m
+        owned: set = set()
+        for i in trace.order:
+            new = inst.sets[i] - owned
+            counts[i] += len(new)
+            owned |= new
+        return tuple(counts) if len(owned) == inst.n_elements else None
+    if kind == "meo":
+        pos = {v: r for r, v in enumerate(trace.order)}
+        counts = [0] * inst.n_vertices
+        for u, v in inst.edges:
+            if u in pos and (v not in pos or pos[u] < pos[v]):
+                counts[u] += 1
+            elif v in pos:
+                counts[v] += 1
+            else:
+                return None
+        return tuple(counts)
+    if kind == "mest":
+        try:
+            return complete_mest_solution(inst, trace).charge_vector()
+        except (AssertionError, ValueError):
+            return None
+    raise ValueError(f"unknown kind '{kind}'")
+
+
 # ------------------------------------------------------- hardness gadget
 
 @dataclass(frozen=True)

@@ -186,8 +186,8 @@ class TestVerifyBetaOne:
             g = generate_random("mest", seed, n_vertices=5 + seed % 3)
             o = mest_oracle(g)
             trace = run_greedy(o)
-            held = verify_beta_one(g, trace=trace, opt=exact_mest(g),
-                                   coeffs=coefficients(o, trace))
+            held = verify_beta_one(g, trace=trace, opt=exact_mest(g, oracle=o),
+                                   coeffs=coefficients(o, trace), oracle=o)
             assert held == verify_beta_one(g), seed
 
     def test_report_shape(self):

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import time
 
 import pytest
 
 from entcover import cli
-from entcover.instances import parse_instance
+from entcover.core import Cover, PolymatroidOracle
+from entcover.instances import (generate_random, parse_instance,
+                                serialize_instance)
 
 MESC = "mesc 3 3\n0 1\n1 2\n2\n"
 TRIANGLE = "graph 3 3\n0 1\n0 2\n1 2\n"
@@ -31,22 +34,77 @@ def test_greedy_json(tmp_path, capsys):
     assert rep["deltas"] == [2, 1]
     assert rep["cover"] == [2, 1, 0]
     assert rep["cover_valid"] is True
+    assert rep["cover_check"] == "witness"
     assert rep["greedy_entropy_bits"] == pytest.approx(0.9182958340544896, abs=1e-10)
     assert "elapsed_seconds" in rep
 
 
 def test_greedy_elapsed_includes_validity_check(tmp_path, capsys, monkeypatch):
-    real = cli.validate_cover
+    real = cli.realise_cover
 
-    def slow_validate(oracle, cover):
+    def slow_realise(inst, kind, trace):
         time.sleep(0.2)
-        return real(oracle, cover)
+        return real(inst, kind, trace)
 
-    monkeypatch.setattr(cli, "validate_cover", slow_validate)
+    monkeypatch.setattr(cli, "realise_cover", slow_realise)
     f = write(tmp_path, "a.mesc", MESC)
     code, out, _ = run(capsys, "greedy", f, "--json")
     assert code == 0
     assert json.loads(out)["elapsed_seconds"] >= 0.2
+
+
+@pytest.mark.parametrize("kind", ["mesc", "meo", "mest"])
+def test_greedy_above_exhaustive_limit(tmp_path, capsys, kind):
+    # m = 40 is past validate_cover's m <= 24 limit; the witness has none
+    params = {"m": 40, "n": 80} if kind == "mesc" else {"n_vertices": 40}
+    inst = generate_random(kind, 7, **params)
+    f = write(tmp_path, f"big.{kind}", serialize_instance(inst).decode())
+    code, out, err = run(capsys, "greedy", f, "--kind", kind, "--json")
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["cover_valid"] is True
+    assert rep["cover_check"] == "witness"
+    assert len(rep["cover"]) == 40
+
+
+def test_greedy_invalid_cover_exit_1(tmp_path, capsys, monkeypatch):
+    real = cli.run_greedy
+
+    def tampered(oracle, tie_break="lowest"):
+        trace = real(oracle, tie_break=tie_break)  # cover (2, 1, 0)
+        # same total, but set 2 covers one element and gets two
+        return dataclasses.replace(trace, cover=Cover((1, 0, 2)))
+
+    monkeypatch.setattr(cli, "run_greedy", tampered)
+    f = write(tmp_path, "a.mesc", MESC)
+    code, out, _ = run(capsys, "greedy", f, "--json")
+    rep = json.loads(out)
+    assert rep["cover_check"] == "exhaustive"
+    assert rep["cover_valid"] is False
+    assert rep["violated_subset_mask"] == 0b100
+    assert code == 1
+
+
+def test_greedy_unmatched_cover_above_exhaustive_limit(tmp_path, capsys,
+                                                       monkeypatch):
+    real = cli.run_greedy
+
+    def tampered(oracle, tie_break="lowest"):
+        trace = real(oracle, tie_break=tie_break)
+        x = list(trace.cover.x)
+        x[trace.order[0]] -= 1
+        x[trace.order[1]] += 1
+        return dataclasses.replace(trace, cover=Cover(tuple(x)))
+
+    monkeypatch.setattr(cli, "run_greedy", tampered)
+    inst = generate_random("meo", 7, n_vertices=40)
+    f = write(tmp_path, "big.graph", serialize_instance(inst).decode())
+    code, out, _ = run(capsys, "greedy", f, "--json")
+    rep = json.loads(out)
+    assert rep["cover_check"] == "skipped"
+    assert rep["cover_valid"] is None
+    assert "violated_subset_mask" not in rep
+    assert code == 0  # nothing was checked, so no check failed
 
 
 def test_greedy_plain_output(tmp_path, capsys):
@@ -211,15 +269,32 @@ def test_verify_mest_runs_exact_mest_once(tmp_path, capsys, monkeypatch):
     real = cli.exact_mest
     calls = []
 
-    def counted(inst):
+    def counted(inst, **kwargs):
         calls.append(1)
-        return real(inst)
+        return real(inst, **kwargs)
 
     monkeypatch.setattr(cli, "exact_mest", counted)
     monkeypatch.setattr(certify, "exact_mest", counted)
     f = write(tmp_path, "t.graph", TRIANGLE)
     code, _, _ = run(capsys, "verify", f, "--kind", "mest", "--json")
     assert code == 0
+    assert len(calls) == 1
+
+
+def test_verify_mest_builds_one_oracle(tmp_path, capsys, monkeypatch):
+    real = PolymatroidOracle.__init__
+    calls = []
+
+    def counted(self, ground, fn):
+        calls.append(1)
+        real(self, ground, fn)
+
+    monkeypatch.setattr(PolymatroidOracle, "__init__", counted)
+    inst = generate_random("mest", 3, n_vertices=6)
+    f = write(tmp_path, "g.graph", serialize_instance(inst).decode())
+    code, out, _ = run(capsys, "verify", f, "--kind", "mest", "--json")
+    assert code == 0
+    assert json.loads(out)["beta_certified"] is True
     assert len(calls) == 1
 
 

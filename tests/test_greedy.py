@@ -3,11 +3,11 @@ import random
 import pytest
 
 from entcover.core import GroundSet, PolymatroidOracle, entropy, validate_cover
-from entcover.greedy import (coefficients, run_greedy,
+from entcover.greedy import (GreedyTrace, coefficients, run_greedy,
                              specialized_coefficients)
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 generate_random, mesc_oracle, meo_oracle,
-                                mest_oracle)
+                                mest_oracle, realise_cover)
 
 SETS = SetCoverInstance(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({2})))
 TRIANGLE = GraphInstance(3, ((0, 1), (0, 2), (1, 2)))
@@ -161,3 +161,36 @@ def test_random_policy_still_valid():
         trace = run_greedy(o, tie_break=f"random:{seed}")
         ok, _ = validate_cover(o, trace.cover)
         assert ok
+
+
+WITNESS_ORACLES = {"mesc": mesc_oracle, "meo": meo_oracle, "mest": mest_oracle}
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESS_ORACLES))
+def test_realisation_witness_agrees_with_exhaustive_check(kind):
+    # two independent routes to validity: the linear-time realisation
+    # along the greedy order, and the 2^m subset sweep
+    for seed in range(30):
+        m = 4 + seed % 9
+        params = ({"m": m, "n": 2 * m} if kind == "mesc"
+                  else {"n_vertices": m})
+        inst = generate_random(kind, seed, **params)
+        for tie_break in ("lowest", "highest", f"random:{seed}"):
+            o = WITNESS_ORACLES[kind](inst)
+            trace = run_greedy(o, tie_break=tie_break)
+            assert realise_cover(inst, kind, trace) == trace.cover.x, (seed, tie_break)
+            assert validate_cover(o, trace.cover)[0] is True, (seed, tie_break)
+
+
+def test_realisation_refuses_incomplete_orders():
+    # the last greedy step is dropped: something stays uncovered
+    for kind, inst in (("mesc", SETS), ("meo", TRIANGLE), ("mest", TRIANGLE)):
+        trace = run_greedy(WITNESS_ORACLES[kind](inst))
+        cut = GreedyTrace.from_chain(len(trace.rank), trace.order[:-1],
+                                     trace.deltas[:-1])
+        assert realise_cover(inst, kind, cut) is None, kind
+    # a step whose gain is not the tree's marginal has no charged tree
+    wrong = GreedyTrace.from_chain(3, (0,), (1,))
+    assert realise_cover(TRIANGLE, "mest", wrong) is None
+    with pytest.raises(ValueError):
+        realise_cover(TRIANGLE, "tree", wrong)
