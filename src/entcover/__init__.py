@@ -4,7 +4,7 @@ constructive spanning-tree certificate.
 """
 
 from .core import (LOG2E, Cover, Distribution, GroundSet, PolymatroidOracle,
-                   check_polymatroid, entropy, entropy_from_weight, iter_bits,
+                   check_polymatroid, entropy, entropy_from_weight,
                    popcount, validate_cover, weight_product)
 from .exact import GUARD_MSG, GuardError, Optimum, exact_assignment_mesc, \
     exact_cover, exact_mest, exact_mest_entropy, exact_orientation
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LOG2E", "GroundSet", "PolymatroidOracle", "Cover", "Distribution",
     "entropy", "entropy_from_weight", "weight_product", "popcount",
-    "iter_bits", "validate_cover", "check_polymatroid",
+    "validate_cover", "check_polymatroid",
     "SetCoverInstance", "GraphInstance", "OrientationSolution",
     "TreeCoverSolution", "GadgetRoles", "mesc_oracle", "meo_oracle",
     "mest_oracle", "complete_mest_solution", "realise_cover",

@@ -17,13 +17,14 @@ removes each tree edge the greedy tree lacks by sliding charges along
 the unique tree path of some incoming greedy edge (a "cascade"), then
 fixes remaining charge orientations by plain reversals.
 
-Both the schedule and the unit-path decomposition are backtracking
-searches: a schedule is rejected as soon as it routes a unit between
-two greedy-chosen vertices whose coefficient-table capacity is zero,
-and a decomposition is accepted only if every unit path ends no higher
-in greedy rank than it started AND the per-source admissibility chain
-holds.  First-choice heuristics make the very first schedule succeed on
-most instances.
+One odometer search over the scheduler's choices tries schedules in
+turn, up to SCHEDULE_ATTEMPTS of them.  At each choice, alternatives
+that route fewer units across a zero coefficient-table capacity (between
+two greedy-chosen vertices) come first; capacity is a preference, not a
+gate.  A schedule is accepted when its transitions decompose into unit
+paths that each end no higher in greedy rank than they started AND
+satisfy the per-source admissibility chain (a backtracking search).
+The first schedule succeeds on most instances.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .instances import (Edge, GraphInstance, TreeCoverSolution,
 
 Arc = Tuple[int, int]
 
-# schedule attempts transform_tree makes in its relaxed search; the
-# capacity-clean search before it gets a tenth of them
+# schedules transform_tree tries before it gives up
 SCHEDULE_ATTEMPTS = 20000
 
 
@@ -72,26 +72,26 @@ class TreeMove:
         return rank[a] < rank[b] < rank[c]
 
 
+def _edge_key(u: int, v: int) -> Edge:
+    return (u, v) if u < v else (v, u)
+
+
 def apply_move(tree: Dict[Edge, int], move: TreeMove,
                graph_edges: frozenset) -> Dict[Edge, int]:
     """Apply one move to an edge->charge mapping, returning a new mapping.
     Raises ValueError("invariant broken") when the move does not fit the
     tree (wrong orientation, missing edges, cycle)."""
     out = dict(tree)
-
-    def key(u: int, v: int) -> Edge:
-        return (u, v) if u < v else (v, u)
-
     if move.kind == "reversal":
         w1, w2 = move.vertices
-        e = key(w1, w2)
+        e = _edge_key(w1, w2)
         if out.get(e) != w2:
             raise ValueError("invariant broken: reversal on edge not charged at w2")
         out[e] = w1
         return out
     if move.kind == "rotation":
         keep, drop, new = move.vertices
-        e_old, e_new = key(keep, drop), key(keep, new)
+        e_old, e_new = _edge_key(keep, drop), _edge_key(keep, new)
         if out.get(e_old) != keep:
             raise ValueError("invariant broken: rotation pivot does not hold the edge")
         if e_new not in graph_edges or e_new in out:
@@ -100,7 +100,7 @@ def apply_move(tree: Dict[Edge, int], move: TreeMove,
         out[e_new] = keep
         return out
     a, b, c = move.vertices
-    e_bc, e_ab = key(b, c), key(a, b)
+    e_bc, e_ab = _edge_key(b, c), _edge_key(a, b)
     if out.get(e_bc) != b:
         raise ValueError("invariant broken: sliding edge not charged at b")
     if e_ab not in graph_edges or e_ab in out:
@@ -131,12 +131,6 @@ class MultiLevelFlow:
     levels: Tuple[Tuple[int, ...], ...]   # q+1 per-vertex count vectors
     paths: Tuple[Tuple[int, ...], ...]    # each of length q+1
     arcs: Tuple[Arc, ...]                 # the transition arcs, length q
-
-    def sources(self) -> Tuple[int, ...]:
-        return tuple(p[0] for p in self.paths)
-
-    def terminals(self) -> Tuple[int, ...]:
-        return tuple(p[-1] for p in self.paths)
 
 
 @dataclass(frozen=True)
@@ -205,24 +199,14 @@ class _Choices:
         return False
 
 
-class _CapacityAbort(Exception):
-    pass
-
-
-def _edge_key(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int],
                    rank: Sequence[int], coeffs: CoefficientTable, n_chosen: int,
-                   choices: _Choices, strict: bool) -> Tuple[List[TreeMove], List[Arc]]:
+                   choices: _Choices) -> Tuple[List[TreeMove], List[Arc]]:
     """One deterministic schedule attempt driven by the odometer.
-    When strict, raises _CapacityAbort the moment a transition would move
-    a unit between chosen vertices with a zero coefficient capacity;
-    otherwise such transitions are allowed (capacity cleanliness stays a
-    scoring preference) and the unit-path decomposition alone decides."""
+    Transitions between chosen vertices with a zero coefficient capacity
+    are allowed; avoiding them is the first scoring preference, and the
+    unit-path decomposition alone decides."""
     n = inst.n_vertices
-    eset = frozenset(inst.edges)
     cur = dict(t1)
     moves: List[TreeMove] = []
     arcs: List[Arc] = []
@@ -234,16 +218,11 @@ def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int]
             return coeffs.a[rank[w] - 1][u] >= 1
         return True  # transitions touching an unchosen vertex are unbounded
 
-    def emit(arc: Arc) -> None:
-        if strict and not cap_ok(*arc):
-            raise _CapacityAbort()
-        arcs.append(arc)
-
     def do_reversal(e: Edge, to: int) -> None:
         frm = cur[e]
         cur[e] = to
         moves.append(TreeMove("reversal", (to, frm)))
-        emit((frm, to))
+        arcs.append((frm, to))
 
     def do_sliding(a: int, b: int, c: int) -> None:
         e_bc = _edge_key(b, c)
@@ -252,8 +231,7 @@ def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int]
         del cur[e_bc]
         cur[_edge_key(a, b)] = a
         moves.append(TreeMove("sliding", (a, b, c)))
-        emit((b, b))
-        emit((b, a))
+        arcs.extend(((b, b), (b, a)))
 
     def tree_path(frm: int, to: int) -> List[int]:
         adj: Dict[int, List[int]] = {}
@@ -309,7 +287,7 @@ def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int]
                 for direction in (0, 1):
                     alts.append((e2, d, direction))
         if not alts:
-            raise ValueError("invariant broken: no crossing greedy edge exists")
+            raise RuntimeError("invariant broken: no crossing greedy edge exists")
 
         def score(alt):
             e2, d, direction = alt
@@ -343,7 +321,7 @@ def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int]
         if cur[e] != tg[e]:
             do_reversal(e, tg[e])
     if cur != tg:
-        raise ValueError("invariant broken: schedule did not reach the greedy tree")
+        raise RuntimeError("invariant broken: schedule did not reach the greedy tree")
     return moves, arcs
 
 
@@ -411,65 +389,36 @@ def _decompose(n: int, x0: Sequence[int], gamma: Sequence[int],
 
 
 def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
-                   greedy_sol: TreeCoverSolution, rank: Sequence[int], *,
-                   oracle: Optional[PolymatroidOracle] = None
+                   greedy_sol: TreeCoverSolution, trace: GreedyTrace,
+                   coeffs: CoefficientTable
                    ) -> Tuple[Tuple[TreeMove, ...], MultiLevelFlow]:
     """Find a move schedule from the optimal tree to the greedy tree whose
     induced multi-level flow has biased, admissible unit paths.
 
-    The greedy trace is reconstructed from the greedy solution and rank
-    (charges = marginals, order = rank), which fixes the coefficient
-    table used for transition capacities.  A caller that already holds
-    mest_oracle(inst) passes it, to share its cache.
+    ``trace`` is the greedy run that charged ``greedy_sol`` and ``coeffs``
+    its coefficient table, which orders the schedule's choices.  Raises
+    ValueError when ``greedy_sol`` is charged unlike ``trace.cover``, and
+    LookupError when no schedule within SCHEDULE_ATTEMPTS certifies.
     """
+    if greedy_sol.charge_vector() != trace.cover.x:
+        raise ValueError("greedy solution charges disagree with the greedy trace")
     n = inst.n_vertices
     t1 = opt.as_dict()
     tg = greedy_sol.as_dict()
-    gamma = list(greedy_sol.charge_vector())
-    x0 = list(opt.charge_vector())
+    gamma = trace.cover.x
+    x0 = opt.charge_vector()
+    rank = trace.rank
 
-    chosen = [v for v in range(n) if gamma[v] > 0]
-    chosen.sort(key=lambda v: rank[v])
-    n_chosen = len(chosen)
-    if sorted(rank) != list(range(1, n + 1)):
-        raise ValueError("rank must be a permutation of 1..n_vertices")
-    if any(rank[v] != i + 1 for i, v in enumerate(chosen)):
-        raise ValueError("rank does not list the charged vertices first")
-    if oracle is None:
-        oracle = mest_oracle(inst)
-    trace = GreedyTrace.from_chain(n, chosen, [gamma[v] for v in chosen])
-    for r, v in enumerate(chosen):
-        if oracle.eval(trace.prefix(r + 1)) - oracle.eval(trace.prefix(r)) != gamma[v]:
-            raise ValueError("greedy solution charges disagree with the oracle marginals")
-    coeffs = coefficients(oracle, trace)
-
-    def search(strict: bool, budget: int):
-        choices = _Choices()
-        attempts = 0
-        while attempts < budget:
-            attempts += 1
-            choices.reset()
-            try:
-                sched = _schedule_once(inst, t1, tg, rank, coeffs, n_chosen,
-                                       choices, strict)
-            except _CapacityAbort:
-                if not choices.advance():
-                    return None
-                continue
-            found = _decompose(n, x0, gamma, sched[1], rank)
-            if found is not None:
-                return sched[0], sched[1], found
-            if not choices.advance():
-                return None
-        return None
-
-    # capacity-clean schedules first; fall back to bias/admissibility-only
-    # gating, which is what the certificate checks actually require
-    hit = (search(True, SCHEDULE_ATTEMPTS // 10)
-           or search(False, SCHEDULE_ATTEMPTS))
-    if hit is None:
-        raise ValueError("invariant broken: no certifiable schedule found")
-    moves, arcs, traj = hit
+    choices = _Choices()
+    for _ in range(SCHEDULE_ATTEMPTS):
+        choices.reset()
+        moves, arcs = _schedule_once(inst, t1, tg, rank, coeffs, trace.length,
+                                     choices)
+        traj = _decompose(n, x0, gamma, arcs, rank)
+        if traj is not None or not choices.advance():
+            break
+    if traj is None:
+        raise LookupError("no certifiable schedule found")
 
     q = len(arcs)
     levels = []
@@ -543,6 +492,8 @@ def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
     greedy_sol = complete_mest_solution(inst, trace)
     if opt is None:
         opt = exact_mest(inst, oracle=oracle)
+    if coeffs is None:
+        coeffs = coefficients(oracle, trace)
 
     tg_edges = set(greedy_sol.tree_edges)
     order = sorted(range(len(opt.solutions)),
@@ -552,12 +503,9 @@ def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
     last_err = "no optimal witness"
     for i in order:
         try:
-            moves, flow = transform_tree(inst, opt.solutions[i],
-                                         greedy_sol, trace.rank,
-                                         oracle=oracle)
-        except ValueError as exc:
-            if "no certifiable schedule" not in str(exc):
-                raise
+            moves, flow = transform_tree(inst, opt.solutions[i], greedy_sol,
+                                         trace, coeffs)
+        except LookupError as exc:
             last_err = str(exc)
             continue
         opt_sol = opt.solutions[i]
@@ -593,8 +541,6 @@ def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
     loads_ok = all(loads[v] <= gamma[v] for v in range(inst.n_vertices))
     ends_ok = (flow.levels[0] == opt_sol.charge_vector()
                and flow.levels[-1] == gamma)
-    if coeffs is None:
-        coeffs = coefficients(oracle, trace)
     caps_ok = flow_respects_capacities(flow, coeffs, trace.rank,
                                        trace.length)
 

@@ -30,28 +30,15 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def iter_bits(mask: int):
-    """Yield the element indices present in a subset bitmask."""
-    j = 0
-    while mask:
-        if mask & 1:
-            yield j
-        mask >>= 1
-        j += 1
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """The set U of elements (players), identified by indices 0..m-1."""
 
     m: int
-    labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= 63:
             raise ValueError(f"ground set size must be in 1..63, got {self.m}")
-        if self.labels is not None and len(self.labels) != self.m:
-            raise ValueError("labels length must equal m")
 
     @property
     def universe(self) -> int:

@@ -1,22 +1,31 @@
 import pytest
 
 from entcover.certify import (MultiLevelFlow, PathOrdering, TreeMove,
-                              apply_move, check_admissible,
-                              flow_respects_capacities, is_spanning_tree,
-                              transform_tree, verify_beta_one)
+                              _Choices, _schedule_once, apply_move,
+                              check_admissible, flow_respects_capacities,
+                              is_spanning_tree, transform_tree,
+                              verify_beta_one)
 from entcover.core import LOG2E
-from entcover.exact import exact_mest
+from entcover.exact import Optimum, exact_mest
 from entcover.greedy import coefficients, run_greedy
-from entcover.instances import (GraphInstance, complete_mest_solution,
-                                generate_random, mest_oracle)
+from entcover.instances import (GraphInstance, TreeCoverSolution,
+                                complete_mest_solution, generate_random,
+                                mest_oracle)
 
 TRIANGLE = GraphInstance(3, ((0, 1), (0, 2), (1, 2)))
 P3 = GraphInstance(3, ((0, 1), (1, 2)))
 
 
-def greedy_tree(inst):
-    trace = run_greedy(mest_oracle(inst))
-    return complete_mest_solution(inst, trace), trace.rank
+def greedy_tree(inst, tie_break="lowest"):
+    """The greedy tree with the trace and coefficient table behind it."""
+    o = mest_oracle(inst)
+    trace = run_greedy(o, tie_break)
+    return complete_mest_solution(inst, trace), trace, coefficients(o, trace)
+
+
+# under tie-break "highest", witness 2 of this graph has no certifiable
+# schedule, while witness 3 (another edge set than greedy's) has one
+UNCERTIFIABLE = generate_random("mest", 87116, n_vertices=7, extra_edge_prob=0.2)
 
 
 class TestTreeMove:
@@ -115,19 +124,19 @@ class TestAdmissibility:
 
 class TestTransform:
     def test_identity_no_moves(self):
-        sol, rank = greedy_tree(P3)
-        moves, flow = transform_tree(P3, sol, sol, rank)
+        sol, trace, coeffs = greedy_tree(P3)
+        moves, flow = transform_tree(P3, sol, sol, trace, coeffs)
         assert moves == ()
         assert flow.q == 0
 
     def test_triangle_witness(self):
-        sol, rank = greedy_tree(TRIANGLE)
+        sol, trace, coeffs = greedy_tree(TRIANGLE)
         opt = exact_mest(TRIANGLE)
         # pick a witness whose tree differs from the greedy tree
         others = [s for s in opt.solutions
                   if set(s.tree_edges) != set(sol.tree_edges)]
         assert others
-        moves, flow = transform_tree(TRIANGLE, others[0], sol, rank)
+        moves, flow = transform_tree(TRIANGLE, others[0], sol, trace, coeffs)
         assert len(moves) >= 1
         # replay: every intermediate stays a spanning tree and lands on greedy
         cur = others[0].as_dict()
@@ -137,11 +146,11 @@ class TestTransform:
         assert cur == sol.as_dict()
 
     def test_flow_levels_count_arcs(self):
-        sol, rank = greedy_tree(TRIANGLE)
+        sol, trace, coeffs = greedy_tree(TRIANGLE)
         opt = exact_mest(TRIANGLE)
         others = [s for s in opt.solutions
                   if set(s.tree_edges) != set(sol.tree_edges)]
-        moves, flow = transform_tree(TRIANGLE, others[0], sol, rank)
+        moves, flow = transform_tree(TRIANGLE, others[0], sol, trace, coeffs)
         assert len(flow.arcs) == flow.q
         assert len(flow.levels) == flow.q + 1
         for p in flow.paths:
@@ -149,15 +158,25 @@ class TestTransform:
         # total moved levels match the schedule's levels
         assert flow.q == sum(mv.levels for mv in moves)
 
-    def test_rejects_bad_rank(self):
-        sol, rank = greedy_tree(P3)
-        with pytest.raises(ValueError, match="permutation"):
-            transform_tree(P3, sol, sol, (1, 1, 2))
+    def test_rejects_greedy_sol_charged_unlike_trace(self):
+        sol, trace, coeffs = greedy_tree(P3)  # both edges charged at vertex 1
+        other = TreeCoverSolution(3, ((0, 1), (1, 2)), (0, 1))
+        with pytest.raises(ValueError, match="greedy trace"):
+            transform_tree(P3, sol, other, trace, coeffs)
 
-    def test_rejects_rank_not_listing_charged_first(self):
-        sol, rank = greedy_tree(P3)  # charge sits on vertex 1
-        with pytest.raises(ValueError):
-            transform_tree(P3, sol, sol, (1, 3, 2))
+    def test_no_certifiable_schedule(self):
+        sol, trace, coeffs = greedy_tree(UNCERTIFIABLE, "highest")
+        witness = exact_mest(UNCERTIFIABLE).solutions[2]
+        with pytest.raises(LookupError, match="no certifiable schedule"):
+            transform_tree(UNCERTIFIABLE, witness, sol, trace, coeffs)
+
+    def test_schedule_invariant_is_runtime_error(self):
+        # a one-edge "greedy tree" leaves edge (1,2) with no crossing
+        # replacement, which no pair of spanning trees can do
+        sol, trace, coeffs = greedy_tree(P3)
+        with pytest.raises(RuntimeError, match="no crossing greedy edge"):
+            _schedule_once(P3, sol.as_dict(), {(0, 1): 1}, trace.rank, coeffs,
+                           trace.length, _Choices())
 
 
 class TestVerifyBetaOne:
@@ -200,13 +219,29 @@ class TestVerifyBetaOne:
             assert key in rep, key
 
     def test_hard_graph_relaxed_schedule(self):
-        # witness trees holding edge (1,2) cannot shed it under the strict
-        # per-arc capacity heuristic; certification must still succeed by
-        # walking the witness list.
+        # the first schedule tried, for the first witness tried, certifies
         g = GraphInstance(6, ((0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 4)))
         rep = verify_beta_one(g)
         assert rep["certified"]
         assert rep["bound_holds"]
+
+    def test_walks_past_uncertifiable_witness(self):
+        opt = exact_mest(UNCERTIFIABLE)
+        bad, good = opt.solutions[2], opt.solutions[3]
+        sol, _, _ = greedy_tree(UNCERTIFIABLE, "highest")
+        assert set(good.tree_edges) != set(sol.tree_edges)
+        two = Optimum(opt.entropy, (opt.covers[2], opt.covers[3]), (bad, good))
+        rep = verify_beta_one(UNCERTIFIABLE, "highest", opt=two)
+        assert rep["certified"]
+        assert rep["witness_index"] == 1
+
+    def test_uncertified_report(self):
+        opt = exact_mest(UNCERTIFIABLE)
+        one = Optimum(opt.entropy, (opt.covers[2],), (opt.solutions[2],))
+        rep = verify_beta_one(UNCERTIFIABLE, "highest", opt=one)
+        assert rep["certified"] is False
+        assert rep["bound_holds"]
+        assert "no certifiable schedule" in rep["error"]
 
     def test_seeded_batch(self):
         for seed in range(50):
@@ -224,7 +259,8 @@ def test_capacity_report():
     # same-tree witness has no arcs, so capacities hold trivially
     rep = verify_beta_one(P3)
     assert rep["arc_capacities_ok"]
-    # the triangle schedule found under the strict phase also respects them
+    # the triangle's first schedule, for its first witness tried, respects
+    # them too
     rep = verify_beta_one(TRIANGLE)
     assert rep["arc_capacities_ok"]
 

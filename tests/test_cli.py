@@ -281,6 +281,23 @@ def test_verify_mest_runs_exact_mest_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_mest_builds_one_coefficient_table(tmp_path, capsys, monkeypatch):
+    from entcover import certify
+    real = cli.coefficients
+    calls = []
+
+    def counted(oracle, trace):
+        calls.append(1)
+        return real(oracle, trace)
+
+    monkeypatch.setattr(cli, "coefficients", counted)
+    monkeypatch.setattr(certify, "coefficients", counted)
+    f = write(tmp_path, "t.graph", TRIANGLE)
+    code, _, _ = run(capsys, "verify", f, "--kind", "mest", "--json")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_mest_builds_one_oracle(tmp_path, capsys, monkeypatch):
     real = PolymatroidOracle.__init__
     calls = []
