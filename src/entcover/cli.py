@@ -345,8 +345,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: exact solvers are desk-scale; shrink the instance or "
-              "use 'greedy' which has no size guard", file=sys.stderr)
+        print("hint: exact solvers take at most 16 sets or vertices; shrink "
+              "the instance or use 'greedy' which has no size guard",
+              file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from itertools import compress, cycle, islice, repeat
+from operator import gt, lt, sub
+from typing import (Callable, Iterable, Iterator, Optional, Sequence,
+                    Tuple)
 
 LOG2E = math.log2(math.e)
 VALIDATE_MAX_M = 24  # validate_cover reads all 2^m subsets
@@ -165,9 +168,10 @@ def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optio
     witness is the first violated subset in ascending bitmask order
     (the full universe for a totality violation, a singleton for a
     negative entry).  Cost is Theta(2^m), so ground sets larger than
-    VALIDATE_MAX_M are refused.  exact_cover runs it on each optimum it
-    returns; entcover greedy runs it only when its cover does not match
-    the linear-time realisation of instances.realise_cover.
+    VALIDATE_MAX_M are refused.  entcover greedy runs it only when its
+    cover does not match the linear-time realisation of
+    instances.realise_cover; the exact solvers run subset_violation on
+    the f-table they already hold.
     """
     m = oracle.m
     if len(cover.x) != m:
@@ -179,14 +183,21 @@ def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optio
             return False, 1 << j
     if cover.total != oracle.total():
         return False, oracle.ground.universe
-    # subset sums by DP over masks: sum[S] = sum[S minus lowest bit] + x[low]
-    sums = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + cover.x[low.bit_length() - 1]
-        if sums[mask] > oracle.eval(mask):
-            return False, mask
-    return True, None
+    table = [oracle.eval(mask) for mask in range(1 << m)]
+    witness = subset_violation(table, cover.x)
+    return witness is None, witness
+
+
+def subset_violation(table: Sequence[int], x: Sequence[int]) -> Optional[int]:
+    """The first nonempty subset S, in ascending bitmask order, with
+    sum(x[j] for j in S) > table[S], or None.  ``table`` holds f at every
+    subset mask of a ground set of len(x) elements."""
+    sums = [0]  # x(S) for every S, built one element at a time
+    for v in x:
+        sums += list(map(v.__add__, sums))
+    if not any(map(gt, sums, table)):
+        return None
+    return next((s for s in range(1, len(sums)) if sums[s] > table[s]), None)
 
 
 def check_polymatroid(oracle: PolymatroidOracle) -> Tuple[bool, Optional[Tuple[int, int]]]:
@@ -200,29 +211,58 @@ def check_polymatroid(oracle: PolymatroidOracle) -> Tuple[bool, Optional[Tuple[i
     Returns ``(True, None)`` or ``(False, (S, T))`` where (S, T) is a
     concrete counterexample pair: f(S) + f(T) < f(S|T) + f(S&T) for a
     submodularity failure, S ⊆ T with f(S) > f(T) for a monotonicity
-    failure, (0, 0) for f(empty) != 0 or a non-integer/negative value.
+    failure, (0, 0) for f(empty) != 0, and (S, S) for a non-integer or
+    negative f(S).
     """
     m = oracle.m
     if m > 16:
         raise ValueError("ground set too large for exhaustive polymatroid check")
-    if oracle.eval(0) != 0:
-        return False, (0, 0)
-    full = 1 << m
-    vals = [0] * full
-    for mask in range(full):
-        v = oracle.eval(mask)
-        if not isinstance(v, int) or v < 0:
-            return False, (mask, mask)
-        vals[mask] = v
-    for mask in range(full):
-        outside = [j for j in range(m) if not (mask >> j) & 1]
-        for a in range(len(outside)):
-            i = outside[a]
-            if vals[mask] > vals[mask | (1 << i)]:
-                return False, (mask, mask | (1 << i))
-            for b in range(a + 1, len(outside)):
-                j = outside[b]
-                si, sj = mask | (1 << i), mask | (1 << j)
-                if vals[si] + vals[sj] < vals[si | sj] + vals[mask]:
-                    return False, (si, sj)
-    return True, None
+    witness = polymatroid_violation([oracle.eval(mask) for mask in range(1 << m)])
+    return witness is None, witness
+
+
+def polymatroid_violation(table: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """check_polymatroid's counterexample pair for the set function held
+    in ``table`` (f at every subset mask, in mask order), or None.
+
+    For each element i the marginals d_i(S) = f(S + i) - f(S), S without
+    i, are read off the table in one pass; monotonicity is d_i >= 0 and
+    local submodularity is d_i(S) >= d_i(S + j) for every j > i.  Each
+    test runs over whole lists, O(m^2 2^m) in all.
+    """
+    if table[0] != 0:
+        return 0, 0
+    if not all(map(isinstance, table, repeat(int))) or min(table) < 0:
+        mask = next(mask for mask, v in enumerate(table)
+                    if not isinstance(v, int) or v < 0)
+        return mask, mask
+    m = len(table).bit_length() - 1
+    for i in range(m):
+        bi = 1 << i
+        # d[k] = d_i(S), k being S with bit i squeezed out
+        d = list(map(sub, _bit_clear(islice(table, bi, None), bi),
+                     _bit_clear(table, bi)))
+        low = min(d)
+        if low < 0:
+            s = _unsqueeze(d.index(low), i)
+            return s, s | bi
+        for j in range(i + 1, m):
+            bj = 1 << (j - 1)  # j's bit in d's indexing
+            lo = list(_bit_clear(d, bj))
+            hi = list(_bit_clear(islice(d, bj, None), bj))
+            if any(map(lt, lo, hi)):
+                k = next(k for k, pair in enumerate(zip(lo, hi))
+                         if pair[0] < pair[1])
+                s = _unsqueeze(_unsqueeze(k, j - 1), i)
+                return s | bi, s | 1 << j
+    return None
+
+
+def _bit_clear(vals: Iterable[int], bit: int) -> Iterator[int]:
+    """The items of vals at the indices with ``bit`` clear, in order."""
+    return compress(vals, cycle([True] * bit + [False] * bit))
+
+
+def _unsqueeze(k: int, pos: int) -> int:
+    """k with a zero bit inserted at position pos."""
+    return (k >> pos << pos + 1) | (k & ((1 << pos) - 1))

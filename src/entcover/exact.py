@@ -1,11 +1,23 @@
-"""Exhaustive ground-truth solvers for desk-scale instances.
+"""Exact ground-truth solvers for desk-scale instances.
 
-One enumerator finds the optimal cover vectors of any polymatroid
-oracle: ``exact_cover`` runs it within its size guard, and
+One subset DP finds every optimal cover vector of any polymatroid
+oracle: ``exact_cover`` runs it on the oracle it is given, and
 ``exact_mest`` runs it on the spanning-tree oracle and realises each
 optimal vector as a charged tree.  The set-cover assignment search,
 the orientation sweep and the spanning-tree enumeration behind
-``exact_mest_entropy`` are independent routes, kept as cross-checks.
+``exact_mest_entropy`` are independent routes, kept as cross-checks,
+and the test suite holds one more: a branch-and-bound enumerator of
+every cover (tests/cover_reference.py).
+
+The DP rests on two facts.  Entropy is strictly concave, so every
+optimal integer cover is a vertex of the base polytope, and every
+vertex is the greedy vector of some element order (Edmonds 1970).  So
+the optimum is the best chain through the subset lattice, found by the
+Held-Karp subset DP (Held & Karp 1962) in O(m 2^m) steps, whatever
+f(U) is.  Both facts need a polymatroid: the DP first checks the axioms
+on the f-table it reads, in O(m^2 2^m), and refuses any other set
+function with ValueError.  The size guard bounds the DP's work: m 2^m
+at most EXACT_MAX_WORK, that is m <= 16.
 
 Optima are selected by maximizing the integer weight prod x_j^{x_j},
 which orders covers exactly opposite to entropy for a fixed total, so
@@ -15,17 +27,17 @@ ties are resolved without floating-point comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from .core import (Cover, PolymatroidOracle, entropy_from_weight,
-                   validate_cover, weight_product)
+                   polymatroid_violation, subset_violation, weight_product)
 from .greedy import GreedyTrace
 from .instances import (Edge, GraphInstance, OrientationSolution,
                         SetCoverInstance, complete_mest_solution, find,
                         mest_oracle)
 
 GUARD_MSG = "instance too large for exact solver"
+EXACT_MAX_WORK = 1 << 20  # the subset DP's bound on m 2^m: m <= 16
 MEST_ENTROPY_MAX_VERTICES = 20  # exact_mest_entropy's guard
 
 
@@ -45,30 +57,32 @@ class Optimum:
 
 def exact_cover(oracle: PolymatroidOracle) -> Optimum:
     """Every optimal cover of the polymatroid, for ground sets of at
-    most 8 elements and f(U) of at most 20; see _optimal_covers."""
-    if oracle.m > 8 or oracle.total() > 20:
+    most 16 elements; see _optimal_covers."""
+    _guard_work(oracle.m)
+    return _optimal_covers(oracle)[0]
+
+
+def _guard_work(m: int) -> None:
+    if m << m > EXACT_MAX_WORK:
         raise GuardError(GUARD_MSG)
-    return _optimal_covers(oracle)
 
 
-def _optimal_covers(oracle: PolymatroidOracle) -> Optimum:
-    """Enumerate all covers of the polymatroid and keep the best set.
+def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
+    """Every optimal cover of the polymatroid, plus the f-table read.
 
-    Depth-first over elements, with f read once into a table indexed by
-    subset mask and the subset sums x(S) of the assigned prefix kept
-    incrementally.  The upper bound for x_j is the tightest
-    f(S + j) - x(S) over subsets S of the prefix; the lower bound makes
-    the remaining elements able to absorb the remaining total.
+    f is read once into a table indexed by subset mask, and the table
+    is checked to be a polymatroid (ValueError naming a counterexample
+    pair otherwise).  Then best[S], the largest weight of a chain from
+    the empty set to S, is
 
-    The last two elements are settled together: the last one takes the
-    remainder, so its bounds turn into bounds on the one before, and of
-    the values left only the two extremes can maximize the weight.
+        best[S] = max_j best[S - j] * d^d,   d = f(S) - f(S - j).
 
-    Every leaf is therefore a cover, for any set function: each subset
-    T is bounded when its largest element is assigned, and the last
-    element takes exactly the remainder, so sum(x) = f(U).  So leaves
-    are scored unchecked, and validate_cover runs once per returned
-    optimum as an invariant check; a failure raises RuntimeError.
+    The optimal covers are the vectors of the chains that attain
+    best[U].  States on such chains are marked walking back from U;
+    then each size layer of marked states carries its distinct partial
+    vectors forward to the next, and the covers are those reaching U,
+    in ascending order.  Each is checked against the table as an
+    invariant; a violated subset raises RuntimeError.
     """
     m = oracle.m
     total = oracle.total()
@@ -76,58 +90,52 @@ def _optimal_covers(oracle: PolymatroidOracle) -> Optimum:
         raise ValueError("degenerate polymatroid: f(U) = 0")
     full = 1 << m
     f = [oracle.eval(mask) for mask in range(full)]
-    suffix_cap = [f[full - (1 << j)] for j in range(m)]  # f(j .. m-1)
-    sums = [0] * full  # x(S) for every S within the assigned prefix
+    bad = polymatroid_violation(f)
+    if bad is not None:
+        raise ValueError(f"oracle is not a polymatroid: subsets {bad[0]} "
+                         f"and {bad[1]} violate the axioms")
     self_pow = [v ** v for v in range(total + 1)]  # 0^0 = 1
-    x = [0] * m
-    last = m - 1
-    best_w = -1
-    best: List[Tuple[int, ...]] = []
-
-    def rec(j: int, remaining: int, w: int) -> None:
-        nonlocal best_w, best
-        bit = 1 << j
-        low = sums[:bit]
-        hi = min(remaining, min(map(sub, f[bit:2 * bit], low)))
-        if j < last - 1:
-            for v in range(max(0, remaining - suffix_cap[j + 1]), hi + 1):
-                x[j] = v
-                sums[bit:2 * bit] = [s + v for s in low]
-                rec(j + 1, remaining - v, w * self_pow[v])
-            return
-        # j = m - 2, and the last element takes remaining - x_j: its
-        # bounds f(S + last) and f(S + j + last), S within the prefix,
-        # become a lower bound on x_j and a test that x_j does not affect
-        top = 2 * bit  # the last element's bit
-        if min(map(sub, f[top + bit:2 * top], low)) < remaining:
-            return
-        lo = max(0, remaining - min(map(sub, f[top:top + bit], low)))
-        if lo > hi:
-            return
-        # log(v^v (r - v)^(r - v)) is strictly convex in v, so no v
-        # strictly inside [lo, hi] can be optimal
-        for v in (lo, hi) if lo < hi else (lo,):
-            x[j], x[last] = v, remaining - v
-            wv = w * self_pow[v] * self_pow[remaining - v]
-            if wv > best_w:
-                best_w, best = wv, []
-            if wv == best_w:
-                best.append(tuple(x))
-
-    if m == 1:  # f({0}) = f(U): the one element takes the total
-        best_w, best = self_pow[total], [(total,)]
-    else:
-        rec(0, total, 1)
-    if not best:
-        raise ValueError("no valid cover found; oracle is not a polymatroid")
-    best.sort()
-    covers = tuple(Cover(t) for t in best)
+    bits = [1 << j for j in range(m)]
+    best = [1] * full
+    for s in range(1, full):
+        fs = f[s]
+        best[s] = max([best[s ^ b] * self_pow[fs - f[s ^ b]]
+                       for b in bits if s & b])
+    # mark the states on some optimal chain, from U down
+    on = bytearray(full)
+    on[full - 1] = 1
+    for s in range(full - 1, 0, -1):
+        if on[s]:
+            fs, bs = f[s], best[s]
+            for b in bits:
+                if s & b and best[s ^ b] * self_pow[fs - f[s ^ b]] == bs:
+                    on[s ^ b] = 1
+    # carry each marked state's partial vectors up one layer at a time,
+    # each packed into an int with x_j in bits [j w, (j + 1) w)
+    w = total.bit_length()
+    layer = {0: {0}}
+    for _ in range(m):
+        nxt: Dict[int, set] = {}
+        for p, vecs in layer.items():
+            fp, bp = f[p], best[p]
+            for j, b in enumerate(bits):
+                s = p | b
+                if s == p or not on[s]:
+                    continue
+                d = f[s] - fp
+                if bp * self_pow[d] == best[s]:
+                    nxt.setdefault(s, set()).update(
+                        map((d << j * w).__add__, vecs))
+        layer = nxt
+    low = (1 << w) - 1
+    covers = tuple(Cover(x) for x in sorted(
+        tuple(v >> j * w & low for j in range(m)) for v in layer[full - 1]))
     for cover in covers:
-        ok, witness = validate_cover(oracle, cover)
-        if not ok:
+        witness = subset_violation(f, cover.x)
+        if witness is not None:
             raise RuntimeError(f"invariant broken: optimal cover {cover.x} "
                                f"violates subset {witness}")
-    return Optimum(entropy_from_weight(best_w, total), covers)
+    return Optimum(entropy_from_weight(best[full - 1], total), covers), f
 
 
 def exact_assignment_mesc(inst: SetCoverInstance) -> Optimum:
@@ -227,32 +235,29 @@ def _spanning_trees(n: int, edges: Tuple[Edge, ...]):
 def exact_mest(inst: GraphInstance, *,
                oracle: Optional[PolymatroidOracle] = None) -> Optimum:
     """Every optimal tree-cover vector, each with one charged spanning
-    tree that realises it, for graphs of at most 9 vertices.  A caller
+    tree that realises it, for graphs of at most 16 vertices.  A caller
     that already holds mest_oracle(inst) passes it, to share its cache.
 
     The vectors are the optima of the spanning-tree oracle, found by
-    _optimal_covers, the enumerator behind exact_cover.  Entropy is
-    strictly concave, so each optimal integer cover x is a vertex of the
-    base polytope, and every vertex is a greedy vector along some
-    element order (Edmonds 1970).  The sets S with x(S) = f(S) are
+    _optimal_covers, the DP behind exact_cover.  Each optimal x is a
+    vertex of the base polytope.  The sets S with x(S) = f(S) are
     closed under union and intersection, so a tight order of x's
     support can be grown one step at a time, and complete_mest_solution
     turns that order into a tree charged exactly x.  A missing tight
     step or a tree charged otherwise raises RuntimeError.
     """
     n = inst.n_vertices
-    if n > 9:
-        raise GuardError(GUARD_MSG)
+    _guard_work(n)
     if not inst.is_connected():
         raise ValueError("spanning-tree optimum requires a connected graph")
     if oracle is None:
         oracle = mest_oracle(inst)
     # f(U) = n - 1: n = 1 is refused as degenerate
-    opt = _optimal_covers(oracle)
+    opt, f = _optimal_covers(oracle)
     sols = []
     for cover in opt.covers:
         x = cover.x
-        order = _tight_order(oracle, x)
+        order = _tight_order(f, x)
         trace = GreedyTrace.from_chain(n, order, [x[j] for j in order])
         sol = complete_mest_solution(inst, trace)
         if sol.charge_vector() != x:
@@ -262,15 +267,15 @@ def exact_mest(inst: GraphInstance, *,
     return Optimum(opt.entropy, opt.covers, tuple(sols))
 
 
-def _tight_order(oracle: PolymatroidOracle, x: Tuple[int, ...]) -> List[int]:
+def _tight_order(f: List[int], x: Tuple[int, ...]) -> List[int]:
     """The positive entries of x in an order along which each marginal
-    f(W + j) - f(W) equals x_j, taking the lowest such j at each step."""
+    f(W + j) - f(W) equals x_j, taking the lowest such j at each step;
+    f is the table of the set function at every subset mask."""
     pending = [j for j, v in enumerate(x) if v]
     order: List[int] = []
     w = fw = 0
     while pending:
-        j = next((j for j in pending
-                  if oracle.eval(w | 1 << j) - fw == x[j]), None)
+        j = next((j for j in pending if f[w | 1 << j] - fw == x[j]), None)
         if j is None:
             raise RuntimeError(f"invariant broken: no tight step extends "
                                f"{order} for cover {x}")
@@ -324,7 +329,7 @@ def _best_charge_weight(n: int, tree: List[Edge]) -> int:
 
 def exact_mest_entropy(inst: GraphInstance) -> float:
     """Optimal tree-cover entropy only, by a route independent of the
-    enumerator: every spanning tree, each charged optimally by a tree
+    subset DP: every spanning tree, each charged optimally by a tree
     DP.  It reaches past exact_mest's guard, to
     MEST_ENTROPY_MAX_VERTICES vertices; the spanning-tree count is what
     limits its size in practice."""

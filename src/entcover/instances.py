@@ -19,9 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover
 Edge = Tuple[int, int]
 
 
-def find(parent: Union[List[int], Dict[int, int]], x: int) -> int:
-    """Root of x in a disjoint-set forest held as a list or a dict of
-    parent pointers, halving the path on the way up."""
+def find(parent: List[int], x: int) -> int:
+    """Root of x in a disjoint-set forest held as a list of parent
+    pointers, halving the path on the way up."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -183,27 +183,44 @@ def meo_oracle(inst: GraphInstance) -> PolymatroidOracle:
 def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
     """Cycle-matroid rank of the edges adjacent to S.
 
-    Computed as (vertices touched by those edges) - (connected components
-    of the subgraph they form), via disjoint-set union.
+    Those edges span S ∪ N(S), and each of their components holds a
+    vertex of S.  Since every such edge has an endpoint in S, two
+    vertices of S share a component exactly when a chain of vertices of
+    S, each within distance 2 of the next, joins them.  So the rank is
+    |S ∪ N(S)| minus the components of G²[S], which a bitmask flood fill
+    over the distance-2 neighbourhoods counts.
     """
     if not inst.is_connected():
         raise ValueError("spanning-tree oracle requires a connected graph")
-    edges = inst.edges
+    n = inst.n_vertices
+    nbr = [0] * n
+    for (u, v) in inst.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    near = [nbr[v] | _union(nbr, nbr[v]) for v in range(n)]
 
     def fn(sub: int) -> int:
-        parent: Dict[int, int] = {}
-        for (u, v) in edges:
-            if (sub >> u) & 1 or (sub >> v) & 1:
-                if u not in parent:
-                    parent[u] = u
-                if v not in parent:
-                    parent[v] = v
-                parent[find(parent, u)] = find(parent, v)
-        touched = len(parent)
-        comps = len({find(parent, x) for x in parent})
-        return touched - comps
+        comps = 0
+        rest = sub
+        while rest:
+            comps += 1
+            frontier = rest & -rest
+            while frontier:
+                rest ^= frontier
+                frontier = _union(near, frontier) & rest
+        return (sub | _union(nbr, sub)).bit_count() - comps
 
-    return PolymatroidOracle(GroundSet(inst.n_vertices), fn)
+    return PolymatroidOracle(GroundSet(n), fn)
+
+
+def _union(masks: List[int], sub: int) -> int:
+    """The union of masks[v] over the vertices v in sub."""
+    out = 0
+    while sub:
+        low = sub & -sub
+        out |= masks[low.bit_length() - 1]
+        sub ^= low
+    return out
 
 
 def complete_mest_solution(inst: GraphInstance, trace: "GreedyTrace") -> TreeCoverSolution:

@@ -1,14 +1,30 @@
-"""Spanning-tree optima by tree enumeration, a route independent of the
-cover enumerator behind exact_cover and exact_mest.
+"""Spanning-tree references independent of the package's own routes.
 
-Every spanning tree is charged optimally by the tree DP; the trees that
-attain the best weight then have all 2^(n-1) charges swept to collect
-every optimal charge vector.
+mest_by_tree_enumeration finds the optima without the subset DP behind
+exact_cover and exact_mest: every spanning tree is charged optimally by
+the tree DP, and the trees that attain the best weight then have all
+2^(n-1) charges swept to collect every optimal charge vector.
+
+rank_by_union_find evaluates the spanning-tree oracle by contracting the
+edges adjacent to S in a disjoint-set forest, not by mest_oracle's
+distance-2 flood fill.
 """
 
 from entcover.core import Cover, entropy_from_weight, weight_product
 from entcover.exact import Optimum, _best_charge_weight, _spanning_trees
-from entcover.instances import TreeCoverSolution
+from entcover.instances import TreeCoverSolution, find
+
+
+def rank_by_union_find(inst, sub):
+    """Cycle-matroid rank of the edges with an endpoint in sub: the
+    vertices they touch minus the components they form."""
+    parent = list(range(inst.n_vertices))
+    touched = set()
+    for (u, v) in inst.edges:
+        if (sub >> u) & 1 or (sub >> v) & 1:
+            touched.update((u, v))
+            parent[find(parent, u)] = find(parent, v)
+    return len(touched) - len({find(parent, x) for x in touched})
 
 
 def mest_by_tree_enumeration(inst):

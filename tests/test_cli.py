@@ -167,7 +167,7 @@ def test_verify_mest_beta_fields(tmp_path, capsys):
     assert isinstance(rep["beta_levels"], int)
 
 
-BIG_MESC = "mesc 9 12\n0 9 10 11\n" + "\n".join(str(i) for i in range(1, 9)) + "\n"
+BIG_MESC = "mesc 17 20\n0 17 18 19\n" + "\n".join(str(i) for i in range(1, 17)) + "\n"
 
 
 def test_verify_guard_exit_3(tmp_path, capsys):

@@ -6,10 +6,11 @@ import pytest
 
 from entcover.core import (LOG2E, Cover, Distribution, GroundSet,
                            PolymatroidOracle, check_polymatroid, entropy,
-                           entropy_from_weight, popcount, validate_cover,
+                           entropy_from_weight, polymatroid_violation,
+                           popcount, subset_violation, validate_cover,
                            weight_product)
-from entcover.instances import GraphInstance, SetCoverInstance, mesc_oracle, \
-    meo_oracle, mest_oracle
+from entcover.instances import GraphInstance, SetCoverInstance, \
+    generate_random, mesc_oracle, meo_oracle, mest_oracle
 
 
 def make_oracle(m, fn):
@@ -178,6 +179,62 @@ def o_contains(s, t):
 def test_check_polymatroid_rejects_bad_empty():
     ok, witness = check_polymatroid(make_oracle(2, lambda s: popcount(s) + 1))
     assert not ok and witness == (0, 0)
+
+
+def polymatroid_violation_by_loop(vals):
+    """Reference verdict: every local axiom tested one subset at a time."""
+    m = len(vals).bit_length() - 1
+    if vals[0] != 0 or min(vals) < 0:
+        return False
+    for mask in range(len(vals)):
+        outside = [j for j in range(m) if not (mask >> j) & 1]
+        for a, i in enumerate(outside):
+            if vals[mask] > vals[mask | (1 << i)]:
+                return False
+            for j in outside[a + 1:]:
+                si, sj = mask | (1 << i), mask | (1 << j)
+                if vals[si] + vals[sj] < vals[si | sj] + vals[mask]:
+                    return False
+    return True
+
+
+def test_polymatroid_violation_matches_loop_reference():
+    rng = random.Random(31)
+    rejected = 0
+    for trial in range(1500):
+        m = rng.randint(1, 6)
+        if trial % 2:
+            vals = [0] + [rng.randrange(5) for _ in range((1 << m) - 1)]
+        else:  # a real oracle, sometimes nudged at one subset
+            inst = generate_random("mesc", trial, m=m, n=m + 3)
+            vals = [mesc_oracle(inst).eval(s) for s in range(1 << m)]
+            if trial % 4 == 0:
+                vals[rng.randrange(1, 1 << m)] += rng.choice((-1, 1))
+        witness = polymatroid_violation(vals)
+        assert (witness is None) == polymatroid_violation_by_loop(vals), vals
+        if witness is None:
+            continue
+        rejected += 1
+        s, t = witness
+        if s == t:
+            assert vals[s] < 0 or (s == 0 and vals[0] != 0), (vals, witness)
+        elif s & t == s:
+            assert vals[s] > vals[t], (vals, witness)
+        else:
+            assert vals[s] + vals[t] < vals[s | t] + vals[s & t], (vals, witness)
+    assert rejected > 500
+
+
+def test_subset_violation_is_first_violated_subset():
+    rng = random.Random(37)
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        table = [0] + [rng.randrange(6) for _ in range((1 << m) - 1)]
+        x = [rng.randrange(4) for _ in range(m)]
+        expect = next((s for s in range(1, 1 << m)
+                       if sum(x[j] for j in range(m) if s >> j & 1) > table[s]),
+                      None)
+        assert subset_violation(table, x) == expect, (table, x)
 
 
 def test_check_polymatroid_guard():

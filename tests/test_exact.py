@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from entcover.exact import (GUARD_MSG, GuardError, exact_assignment_mesc,
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 TreeCoverSolution, generate_random,
                                 mesc_oracle, meo_oracle, mest_oracle)
+from cover_reference import optimal_covers
 from mest_reference import mest_by_tree_enumeration
 
 SETS = SetCoverInstance(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({2})))
@@ -48,23 +50,26 @@ def test_optimum_weight_consistency():
 
 
 def test_guards():
-    big_m = SetCoverInstance(9, tuple(frozenset({i}) for i in range(9)))
+    big_m = SetCoverInstance(17, tuple(frozenset({i}) for i in range(17)))
     with pytest.raises(ValueError, match=GUARD_MSG):
         exact_cover(mesc_oracle(big_m))
-    wide = SetCoverInstance(21, (frozenset(range(21)), frozenset(range(21))))
+    wide = SetCoverInstance(21, tuple(frozenset(range(21)) for _ in range(17)))
     with pytest.raises(ValueError, match=GUARD_MSG):
         exact_cover(mesc_oracle(wide))
+    # the guard bounds the DP's work, which f(U) does not enter
+    pair = SetCoverInstance(21, (frozenset(range(21)), frozenset(range(21))))
+    assert xs(exact_cover(mesc_oracle(pair))) == ((0, 21), (21, 0))
 
 
 def test_every_guard_raises_guard_error():
-    big_m = SetCoverInstance(9, tuple(frozenset({i}) for i in range(9)))
+    big_m = SetCoverInstance(17, tuple(frozenset({i}) for i in range(17)))
     many_owners = SetCoverInstance(8, tuple(frozenset(range(8)) for _ in range(8)))
-    path10 = GraphInstance(10, tuple((i, i + 1) for i in range(9)))
+    path17 = GraphInstance(17, tuple((i, i + 1) for i in range(16)))
     k7 = GraphInstance(7, tuple((i, j) for i in range(7) for j in range(i + 1, 7)))
     for solve in (lambda: exact_cover(mesc_oracle(big_m)),
                   lambda: exact_assignment_mesc(many_owners),
                   lambda: exact_orientation(k7),
-                  lambda: exact_mest(path10),
+                  lambda: exact_mest(path17),
                   lambda: exact_mest_entropy(PATH21)):
         with pytest.raises(GuardError, match=GUARD_MSG):
             solve()
@@ -117,18 +122,77 @@ def test_matches_brute_force_reference():
             mest_oracle(generate_random('mest', 200 + seed,
                                         n_vertices=4 + seed % 3)),
         ]
-    odd = planted_set_function(5, 7)
-    assert not check_polymatroid(odd)[0]
-    oracles.append(odd)
     for i, o in enumerate(oracles):
         covers, ent = brute_force_optimum(o)
         opt = exact_cover(o)
         assert xs(opt) == covers, i
         assert opt.entropy == ent, i
+    # the enumerator reaches any set function's optima; the DP needs a
+    # polymatroid and refuses this one
+    odd = planted_set_function(5, 7)
+    assert not check_polymatroid(odd)[0]
+    covers, ent = brute_force_optimum(odd)
+    ref = optimal_covers(odd)
+    assert xs(ref) == covers
+    assert ref.entropy == ent
+    with pytest.raises(ValueError, match="not a polymatroid"):
+        exact_cover(odd)
+
+
+def test_non_polymatroid_is_refused_with_a_counterexample():
+    # every planted function the DP refuses is caught by the axiom check,
+    # which names a pair that fails one of the axioms
+    refused = 0
+    for m in (3, 4, 5):
+        for seed in range(30):
+            o = planted_set_function(m, seed)
+            ok, pair = check_polymatroid(o)
+            if ok:
+                assert xs(exact_cover(o)) == xs(optimal_covers(o))
+                continue
+            expect = ("degenerate" if o.total() == 0 else
+                      f"not a polymatroid: subsets {pair[0]} and {pair[1]} ")
+            with pytest.raises(ValueError, match=expect) as err:
+                exact_cover(o)
+            assert not isinstance(err.value, GuardError)
+            refused += 1
+    assert refused > 60
+
+
+def test_dp_matches_reference_enumerator():
+    # 600 seeded oracles, m = 3-7: same covers in the same order,
+    # bit-identical entropy
+    count = 0
+    for seed in range(200):
+        for o in (mesc_oracle(generate_random('mesc', seed, m=3 + seed % 5,
+                                              n=6 + seed % 7)),
+                  meo_oracle(generate_random('meo', 1000 + seed,
+                                             n_vertices=4 + seed % 4,
+                                             extra_edge_prob=0.25)),
+                  mest_oracle(generate_random('mest', 2000 + seed,
+                                              n_vertices=4 + seed % 4,
+                                              extra_edge_prob=0.3))):
+            opt, ref = exact_cover(o), optimal_covers(o)
+            assert xs(opt) == xs(ref), (seed, o.m)
+            assert opt.entropy == ref.entropy, (seed, o.m)
+            count += 1
+    assert count == 600
+
+
+def test_many_optima_at_sixteen_sets():
+    # 8 disjoint pairs of identical 2-element sets: each pair's block goes
+    # whole to either set, so the optima are all 2^8 such choices
+    inst = SetCoverInstance(16, tuple(frozenset({2 * (i // 2), 2 * (i // 2) + 1})
+                                      for i in range(16)))
+    opt = exact_cover(mesc_oracle(inst))
+    expect = sorted(sum(choice, ()) for choice in
+                    itertools.product(((0, 2), (2, 0)), repeat=8))
+    assert xs(opt) == tuple(expect)
+    assert opt.entropy == pytest.approx(3.0, abs=1e-12)
 
 
 def test_invalid_optimum_is_internal_error(monkeypatch):
-    monkeypatch.setattr(exact, "validate_cover", lambda oracle, cover: (False, 1))
+    monkeypatch.setattr(exact, "subset_violation", lambda table, x: 1)
     with pytest.raises(RuntimeError, match="invariant broken"):
         exact_cover(mesc_oracle(SETS))
 
@@ -212,7 +276,6 @@ def test_mest_route_agrees():
 
 
 def test_mest_nine_vertices_matches_tree_enumeration():
-    # n = 9 is past exact_cover's guard (m <= 8) but inside exact_mest's
     for seed in range(3):
         g = generate_random('mest', 300 + seed, n_vertices=9,
                             extra_edge_prob=0.1)
@@ -223,8 +286,21 @@ def test_mest_nine_vertices_matches_tree_enumeration():
         for sol, c in zip(opt.solutions, opt.covers):
             assert set(sol.tree_edges) <= set(g.edges)
             assert sol.charge_vector() == c.x
-    with pytest.raises(GuardError):
-        exact_cover(mest_oracle(g))
+        # exact_cover and exact_mest share one DP and one guard
+        assert xs(exact_cover(mest_oracle(g))) == xs(opt), seed
+
+
+def test_mest_ten_to_twelve_vertices_match_tree_dp():
+    # past the former n <= 9 guard: the optimum matches the independent
+    # spanning-tree route, and every tree is charged as its cover says
+    for seed in range(6):
+        g = generate_random('mest', 400 + seed, n_vertices=10 + seed % 3,
+                            extra_edge_prob=0.1)
+        opt = exact_mest(g)
+        assert opt.entropy == pytest.approx(exact_mest_entropy(g), abs=1e-12)
+        for sol, c in zip(opt.solutions, opt.covers):
+            assert set(sol.tree_edges) <= set(g.edges)
+            assert sol.charge_vector() == c.x
 
 
 def test_mest_wrong_tree_is_internal_error(monkeypatch):
@@ -240,13 +316,14 @@ def test_tight_order_of_a_non_vertex_is_internal_error():
     # not a vertex of it: every singleton has f({j}) = 2 > 1
     o = mest_oracle(TRIANGLE)
     assert validate_cover(o, Cover((1, 1, 0)))[0]
+    f = [o.eval(mask) for mask in range(8)]
     with pytest.raises(RuntimeError, match="no tight step"):
-        exact._tight_order(o, (1, 1, 0))
-    assert exact._tight_order(o, (0, 2, 0)) == [1]
+        exact._tight_order(f, (1, 1, 0))
+    assert exact._tight_order(f, (0, 2, 0)) == [1]
 
 
 def test_mest_guards():
-    big = GraphInstance(10, tuple((i, i + 1) for i in range(9)))
+    big = GraphInstance(17, tuple((i, i + 1) for i in range(16)))
     with pytest.raises(ValueError, match=GUARD_MSG):
         exact_mest(big)
     with pytest.raises(ValueError, match="connected"):

@@ -8,6 +8,7 @@ from entcover.instances import (GraphInstance, SetCoverInstance,
                                 hardness_gadget, mesc_oracle, meo_oracle,
                                 mest_oracle, parse_instance,
                                 reduction_entropy_relation, serialize_instance)
+from mest_reference import rank_by_union_find
 
 TRIANGLE = GraphInstance(3, ((0, 1), (0, 2), (1, 2)))
 SETS = SetCoverInstance(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({2})))
@@ -31,6 +32,27 @@ class OracleValues(unittest.TestCase):
         for v in range(3):
             self.assertEqual(o.eval(1 << v), 2)
         self.assertEqual(o.total(), 2)  # spanning tree size
+
+    def test_mest_matches_union_find_reference(self):
+        # every mask of small graphs, sparse to dense, then random masks
+        # of larger graphs
+        for seed in range(120):
+            n = 3 + seed % 8
+            g = generate_random("mest", seed, n_vertices=n,
+                                extra_edge_prob=0.1 + 0.3 * (seed % 3))
+            o = mest_oracle(g)
+            for sub in range(1 << n):
+                self.assertEqual(o.eval(sub), rank_by_union_find(g, sub),
+                                 (seed, sub))
+        rng = random.Random(5)
+        for seed in range(6):
+            g = generate_random("mest", seed, n_vertices=40,
+                                extra_edge_prob=0.02 + 0.04 * seed)
+            o = mest_oracle(g)
+            for _ in range(200):
+                sub = rng.getrandbits(40)
+                self.assertEqual(o.eval(sub), rank_by_union_find(g, sub),
+                                 (seed, sub))
 
     def test_mest_needs_connected(self):
         g = GraphInstance(4, ((0, 1), (2, 3)))
