@@ -18,25 +18,30 @@ the unique tree path of some incoming greedy edge (a "cascade"), then
 fixes remaining charge orientations by plain reversals.
 
 One odometer search over the scheduler's choices tries schedules in
-turn, up to SCHEDULE_ATTEMPTS of them.  At each choice, alternatives
-that route fewer units across a zero coefficient-table capacity (between
-two greedy-chosen vertices) come first; capacity is a preference, not a
+turn, up to SCHEDULE_ATTEMPTS of them.  A choice pairs a greedy edge
+outside the current tree with a tree edge on its tree path (exactly the
+tree edges whose cut it crosses) and a direction.  Alternatives that
+route fewer units across a zero coefficient-table capacity (between two
+greedy-chosen vertices) come first; capacity is a preference, not a
 gate.  A schedule is accepted when its transitions decompose into unit
 paths that each end no higher in greedy rank than they started AND
 satisfy the per-source admissibility chain (a backtracking search).
 The first schedule succeeds on most instances.
+
+verify_beta_one checks the certificate on the greedy trace, optimum and
+coefficient table the verify pipeline already holds; it computes none of
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import LOG2E, PolymatroidOracle, entropy
-from .exact import Optimum, exact_mest
-from .greedy import CoefficientTable, GreedyTrace, coefficients, run_greedy
+from .exact import Optimum
+from .greedy import CoefficientTable, GreedyTrace
 from .instances import (Edge, GraphInstance, TreeCoverSolution,
-                        complete_mest_solution, find, mest_oracle)
+                        complete_mest_solution, find)
 
 Arc = Tuple[int, int]
 
@@ -59,17 +64,6 @@ class TreeMove:
     @property
     def levels(self) -> int:
         return 2 if self.kind == "sliding" else 1
-
-    def biased(self, rank: Sequence[int]) -> bool:
-        """Does the move respect greedy rank on its own?  (Flows only
-        need bias at path endpoints; this is the per-move notion.)"""
-        if self.kind == "reversal":
-            w1, w2 = self.vertices
-            return rank[w1] < rank[w2]
-        if self.kind == "rotation":
-            return True  # charge stays at the pivot
-        a, b, c = self.vertices
-        return rank[a] < rank[b] < rank[c]
 
 
 def _edge_key(u: int, v: int) -> Edge:
@@ -149,21 +143,6 @@ class PathOrdering:
 
         return cls(tuple(sorted(range(len(flow.paths)), key=sort_key)))
 
-    def validate(self, flow: MultiLevelFlow, rank: Sequence[int]) -> bool:
-        seen_same = False
-        last_term_rank = 0
-        for pid in self.order:
-            p = flow.paths[pid]
-            if p[0] == p[-1]:
-                seen_same = True
-            else:
-                if seen_same:
-                    return False
-                if rank[p[-1]] < last_term_rank:
-                    return False
-                last_term_rank = rank[p[-1]]
-        return len(self.order) == len(flow.paths)
-
 
 class _Choices:
     """Odometer over the decision points discovered during one schedule
@@ -199,14 +178,39 @@ class _Choices:
         return False
 
 
-def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int],
+def _cascade(path: Sequence[int], s: int) -> Iterator[Tuple[int, int, int]]:
+    """The slidings (a, b, c) that bring the greedy edge {path[0], path[-1]}
+    into the tree and drop the tree edge {path[s], path[s+1]}: from the
+    far end of the tree path back to s, each path edge slides one step."""
+    a = path[0]
+    for i in range(len(path) - 1, s, -1):
+        yield a, path[i], path[i - 1]
+        a = path[i]
+
+
+def _tree_path(adj: Dict[int, List[int]], frm: int, to: int) -> List[int]:
+    """The vertices of the unique path from frm to to in a tree."""
+    prev = {frm: frm}
+    stack = [frm]
+    while to not in prev:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                stack.append(y)
+    path = [to]
+    while path[-1] != frm:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int],
                    rank: Sequence[int], coeffs: CoefficientTable, n_chosen: int,
                    choices: _Choices) -> Tuple[List[TreeMove], List[Arc]]:
     """One deterministic schedule attempt driven by the odometer.
     Transitions between chosen vertices with a zero coefficient capacity
     are allowed; avoiding them is the first scoring preference, and the
     unit-path decomposition alone decides."""
-    n = inst.n_vertices
     cur = dict(t1)
     moves: List[TreeMove] = []
     arcs: List[Arc] = []
@@ -233,89 +237,46 @@ def _schedule_once(inst: GraphInstance, t1: Dict[Edge, int], tg: Dict[Edge, int]
         moves.append(TreeMove("sliding", (a, b, c)))
         arcs.extend(((b, b), (b, a)))
 
-    def tree_path(frm: int, to: int) -> List[int]:
-        adj: Dict[int, List[int]] = {}
-        for (u, v) in cur:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        prev = {frm: None}
-        stack = [frm]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        path = [to]
-        while path[-1] != frm:
-            path.append(prev[path[-1]])
-        return path[::-1]
-
-    def comps_without(e: Edge) -> List[int]:
-        parent = list(range(n))
-        for e2 in cur:
-            if e2 != e:
-                parent[find(parent, e2[0])] = find(parent, e2[1])
-        return parent
-
-    def cascade_arcs(path: List[int], s: int) -> List[Arc]:
-        # what the cascade will emit, for scoring, without mutating cur
-        out: List[Arc] = []
-        last = len(path) - 1
-        for k in range(1, last - s + 1):
-            if k == 1:
-                a, b, c = path[0], path[last], path[last - 1]
-            else:
-                a, b, c = path[last - k + 2], path[last - k + 1], path[last - k]
-            if cur[_edge_key(b, c)] == c:
-                out.append((c, b))
-            out.append((b, b))
-            out.append((b, a))
-        return out
+    def penalty(path: List[int], s: int) -> int:
+        # transitions the cascade would route across a zero capacity; each
+        # sliding's edge {b,c} is an untouched edge of the current tree
+        return sum((cur[_edge_key(b, c)] == c and not cap_ok(c, b))
+                   + (not cap_ok(b, a)) for a, b, c in _cascade(path, s))
 
     while set(cur) != set(tg):
         cand = sorted((e for e in cur if e not in tg),
                       key=lambda e2: (-max(rank[e2[0]], rank[e2[1]]), e2))
+        cand_index = {e: i for i, e in enumerate(cand)}
+        adj: Dict[int, List[int]] = {}
+        for (u, v) in cur:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         alts = []
-        for e2 in cand:
-            parent = comps_without(e2)
-            side = find(parent, e2[0])
-            crossing = sorted(d for d in tg if d not in cur
-                              and (find(parent, d[0]) == side)
-                              != (find(parent, d[1]) == side))
-            for d in crossing:
-                for direction in (0, 1):
-                    alts.append((e2, d, direction))
+        for d in tg:
+            if d in cur:
+                continue
+            # d crosses a tree edge's cut exactly when that edge lies on
+            # d's tree path
+            path = _tree_path(adj, d[0], d[1])
+            back = path[::-1]
+            last = len(path) - 1
+            for i in range(last):
+                e = _edge_key(path[i], path[i + 1])
+                if e not in cand_index:
+                    continue
+                for direction, p, s in ((0, path, i), (1, back, last - 1 - i)):
+                    # prefer charging the new greedy edge where the greedy
+                    # tree does NOT charge it: the fixup reversal then runs
+                    # downhill
+                    key = (penalty(p, s), cand_index[e],
+                           0 if p[0] != tg[d] else 1, d, direction)
+                    alts.append((key, p, s))
         if not alts:
             raise RuntimeError("invariant broken: no crossing greedy edge exists")
-
-        def score(alt):
-            e2, d, direction = alt
-            path = tree_path(d[0], d[1])
-            if direction == 1:
-                path = path[::-1]
-            s = next(i for i in range(len(path) - 1)
-                     if _edge_key(path[i], path[i + 1]) == e2)
-            penalty = sum(1 for a in cascade_arcs(path, s) if not cap_ok(*a))
-            # prefer charging the new greedy edge where the greedy tree
-            # does NOT charge it: the fixup reversal then runs downhill
-            charged_at = path[0]
-            return (penalty, cand.index(e2),
-                    0 if charged_at != tg[d] else 1, d, direction)
-
-        alts.sort(key=score)
-        e, eprime, direction = alts[choices.pick(len(alts))]
-        path = tree_path(eprime[0], eprime[1])
-        if direction == 1:
-            path = path[::-1]
-        s = next(i for i in range(len(path) - 1)
-                 if _edge_key(path[i], path[i + 1]) == e)
-        last = len(path) - 1
-        for k in range(1, last - s + 1):
-            if k == 1:
-                do_sliding(path[0], path[last], path[last - 1])
-            else:
-                do_sliding(path[last - k + 2], path[last - k + 1], path[last - k])
+        alts.sort()  # the keys are unique, so paths are never compared
+        _, path, s = alts[choices.pick(len(alts))]
+        for a, b, c in _cascade(path, s):
+            do_sliding(a, b, c)
 
     for e in sorted(tg, key=lambda e2: rank[tg[e2]]):
         if cur[e] != tg[e]:
@@ -412,8 +373,7 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
     choices = _Choices()
     for _ in range(SCHEDULE_ATTEMPTS):
         choices.reset()
-        moves, arcs = _schedule_once(inst, t1, tg, rank, coeffs, trace.length,
-                                     choices)
+        moves, arcs = _schedule_once(t1, tg, rank, coeffs, trace.length, choices)
         traj = _decompose(n, x0, gamma, arcs, rank)
         if traj is not None or not choices.advance():
             break
@@ -468,33 +428,23 @@ def check_admissible(flow: MultiLevelFlow, ordering: PathOrdering,
     return True, None
 
 
-def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
-                    trace: Optional[GreedyTrace] = None,
-                    opt: Optional[Optimum] = None,
-                    coeffs: Optional[CoefficientTable] = None,
-                    oracle: Optional[PolymatroidOracle] = None) -> dict:
-    """End-to-end certificate for one connected graph: greedy + exact
-    optimum + tree transformation + flow checks + the entropy bound with
-    the certified multiplier 1.
-
-    A caller that already holds the greedy trace (of the mest oracle
-    under ``tie_break``), the ``exact_mest`` optimum, the coefficient
-    table of that trace or ``mest_oracle(inst)`` itself passes them in;
-    each one left out is computed.  One oracle then serves every step.
+def verify_beta_one(inst: GraphInstance, trace: GreedyTrace, opt: Optimum,
+                    coeffs: CoefficientTable) -> dict:
+    """The β = 1 certificate for one connected graph, from what the verify
+    pipeline computed: the greedy ``trace`` of ``mest_oracle(inst)``, its
+    ``exact_mest`` optimum ``opt`` and the coefficient table ``coeffs`` of
+    that trace.  It transforms an optimal tree into the greedy one,
+    replays every move and checks the induced flow's bias, loads,
+    endpoints, capacities and admissibility.  The entropy bound itself is
+    the caller's: it needs only the two entropies.
 
     The certified multiplier is an infimum over constructions, so ONE
     transformable optimal witness suffices; witnesses sharing the greedy
-    edge set are tried first (their schedules are pure reversals)."""
-    if oracle is None:
-        oracle = mest_oracle(inst)
-    if trace is None:
-        trace = run_greedy(oracle, tie_break)
+    edge set are tried first (their schedules are pure reversals).  When
+    none transforms, the report has the same keys with ``certified``
+    False, the last ``error``, and None for every check it could not run.
+    """
     greedy_sol = complete_mest_solution(inst, trace)
-    if opt is None:
-        opt = exact_mest(inst, oracle=oracle)
-    if coeffs is None:
-        coeffs = coefficients(oracle, trace)
-
     tg_edges = set(greedy_sol.tree_edges)
     order = sorted(range(len(opt.solutions)),
                    key=lambda i: (set(opt.solutions[i].tree_edges) != tg_edges, i))
@@ -511,15 +461,15 @@ def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
         opt_sol = opt.solutions[i]
         witness_index = i
         break
+    report = {"beta_witness": 1, "certified": False, "error": last_err,
+              "witness_index": None, "admissible": None,
+              "violating_path": None, "endpoints_biased": None,
+              "intermediate_trees_ok": None, "reaches_greedy": None,
+              "per_node_loads_ok": None, "level_endpoints_ok": None,
+              "arc_capacities_ok": None, "moves": [], "levels": 0,
+              "paths": []}
     if opt_sol is None:
-        return {
-            "beta_witness": 1,
-            "bound_holds": entropy(trace.cover) <= opt.entropy + LOG2E + 1e-9,
-            "entropies": {"greedy_bits": entropy(trace.cover),
-                          "optimal_bits": opt.entropy},
-            "certified": False,
-            "error": last_err,
-        }
+        return report
 
     # replay the moves move-by-move: every intermediate is a spanning tree
     eset = frozenset(inst.edges)
@@ -543,30 +493,21 @@ def verify_beta_one(inst: GraphInstance, tie_break: str = "lowest", *,
                and flow.levels[-1] == gamma)
     caps_ok = flow_respects_capacities(flow, coeffs, trace.rank,
                                        trace.length)
-
-    ent_g = entropy(trace.cover)
-    ent_o = opt.entropy
-    bound_rhs = ent_o + LOG2E
-    bound_holds = ent_g <= bound_rhs + 1e-9
-    certified = (trees_ok and reaches_greedy and admissible and biased
-                 and loads_ok and ends_ok)
-    return {
-        "beta_witness": 1,
-        "bound_holds": bound_holds,
-        "entropies": {"greedy_bits": ent_g, "optimal_bits": ent_o},
-        "bound_rhs_bits": bound_rhs,
-        "slack_bits": bound_rhs - ent_g,
-        "certified": certified,
-        "witness_index": witness_index,
-        "admissible": admissible,
-        "violating_path": violating,
-        "endpoints_biased": biased,
-        "intermediate_trees_ok": trees_ok,
-        "reaches_greedy": reaches_greedy,
-        "per_node_loads_ok": loads_ok,
-        "level_endpoints_ok": ends_ok,
-        "arc_capacities_ok": caps_ok,
-        "moves": [{"kind": m.kind, "vertices": list(m.vertices)} for m in moves],
-        "levels": flow.q,
-        "paths": [list(p) for p in flow.paths],
-    }
+    report.update(
+        certified=(trees_ok and reaches_greedy and admissible and biased
+                   and loads_ok and ends_ok),
+        error=None,
+        witness_index=witness_index,
+        admissible=admissible,
+        violating_path=violating,
+        endpoints_biased=biased,
+        intermediate_trees_ok=trees_ok,
+        reaches_greedy=reaches_greedy,
+        per_node_loads_ok=loads_ok,
+        level_endpoints_ok=ends_ok,
+        arc_capacities_ok=caps_ok,
+        moves=[{"kind": m.kind, "vertices": list(m.vertices)} for m in moves],
+        levels=flow.q,
+        paths=[list(p) for p in flow.paths],
+    )
+    return report

@@ -14,10 +14,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .core import LOG2E, Cover, PolymatroidOracle
-from .greedy import CoefficientTable, GreedyTrace, coefficients
+from .core import LOG2E, Cover
+from .greedy import CoefficientTable, GreedyTrace
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,11 @@ def check_assignment(z: Sequence[Sequence[int]], optimal: Cover,
     return True
 
 
-def min_alpha(oracle: PolymatroidOracle, trace: GreedyTrace,
-              optimal_covers: Sequence[Cover],
-              coeffs: Optional[CoefficientTable] = None) -> Fraction:
+def min_alpha(trace: GreedyTrace, optimal_covers: Sequence[Cover],
+              coeffs: CoefficientTable) -> Fraction:
     """Smallest scale factor admitting a full-value flow, as an exact
-    rational.
+    rational, for the greedy ``trace`` and its coefficient table
+    ``coeffs``.  The full value n = f(U) is the greedy cover's total.
 
     Only multiples c/delta_r can change any floor(alpha*delta_r), so the
     finite ascending candidate sweep is exact; the first feasible
@@ -158,9 +158,7 @@ def min_alpha(oracle: PolymatroidOracle, trace: GreedyTrace,
     """
     if not optimal_covers:
         raise ValueError("need at least one optimal cover")
-    if coeffs is None:
-        coeffs = coefficients(oracle, trace)
-    n = oracle.total()
+    n = trace.cover.total
     deltas = trace.deltas
     cands = sorted({Fraction(c, d) for d in deltas for c in range(d, n + 1)})
     for alpha in cands:

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING, Union
 
-from .core import Cover, GroundSet, PolymatroidOracle, popcount
+from .core import Cover, GroundSet, PolymatroidOracle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .greedy import GreedyTrace
@@ -154,11 +154,7 @@ def mesc_oracle(inst: SetCoverInstance) -> PolymatroidOracle:
         masks.append(mk)
 
     def fn(sub: int) -> int:
-        u = 0
-        for i, mk in enumerate(masks):
-            if (sub >> i) & 1:
-                u |= mk
-        return popcount(u)
+        return _union(masks, sub).bit_count()
 
     return PolymatroidOracle(GroundSet(inst.m), fn)
 
@@ -171,11 +167,7 @@ def meo_oracle(inst: GraphInstance) -> PolymatroidOracle:
         inc[v] |= 1 << i
 
     def fn(sub: int) -> int:
-        u = 0
-        for v in range(inst.n_vertices):
-            if (sub >> v) & 1:
-                u |= inc[v]
-        return popcount(u)
+        return _union(inc, sub).bit_count()
 
     return PolymatroidOracle(GroundSet(inst.n_vertices), fn)
 

@@ -9,7 +9,7 @@ import math
 import time
 from fractions import Fraction
 
-from conftest import record_acceptance
+from conftest import beta_certificate, record_acceptance
 from mest_reference import mest_by_tree_enumeration
 
 from entcover.core import (LOG2E, check_polymatroid, entropy,
@@ -102,7 +102,7 @@ def test_criterion_2_unit_alpha():
     n_checked = 0
     for kind, inst, o, covers in unit_alpha_suite():
         trace = run_greedy(o)
-        a = min_alpha(o, trace, covers)
+        a = min_alpha(trace, covers, coefficients(o, trace))
         assert a == Fraction(1), (kind, inst, a)
         n_checked += 1
     dt = time.perf_counter() - t0
@@ -122,7 +122,7 @@ def test_criterion_3_alpha_bound():
         except GuardError:
             skipped += 1
             continue
-        a = min_alpha(o, trace, opt.covers)
+        a = min_alpha(trace, opt.covers, coefficients(o, trace))
         rep = approximation_bound(entropy(trace.cover), opt.entropy, a,
                                   o.total(), tol=1e-9)
         if not rep.holds:
@@ -135,19 +135,18 @@ def test_criterion_3_alpha_bound():
 
 
 def test_criterion_4_beta_certificates():
-    from entcover.certify import verify_beta_one
     t0 = time.perf_counter()
     n_ok = 0
     for seed in range(100):
         g = generate_random("mest", 7000 + seed, n_vertices=5 + seed % 4)
-        rep = verify_beta_one(g)
-        assert rep["certified"], (seed, rep.get("error"))
+        rep, trace, opt = beta_certificate(g)
+        assert rep["certified"], (seed, rep["error"])
         assert rep["intermediate_trees_ok"], seed
         assert rep["reaches_greedy"], seed
         assert rep["admissible"], seed
         assert rep["per_node_loads_ok"], seed
         assert rep["endpoints_biased"], seed
-        gb, ob = rep["entropies"]["greedy_bits"], rep["entropies"]["optimal_bits"]
+        gb, ob = entropy(trace.cover), opt.entropy
         assert gb <= ob + LOG2E + 1e-9, seed
         n_ok += 1
     dt = time.perf_counter() - t0
@@ -156,20 +155,21 @@ def test_criterion_4_beta_certificates():
 
 
 def test_criterion_5_alpha_at_least_one_and_loads():
-    from entcover.certify import verify_beta_one
     alphas = []
     for kind, inst, o, covers in unit_alpha_suite():
-        alphas.append(min_alpha(o, run_greedy(o), covers))
+        trace = run_greedy(o)
+        alphas.append(min_alpha(trace, covers, coefficients(o, trace)))
     for seed in range(25):
         g = generate_random("mest", 2000 + seed, n_vertices=5 + seed % 4)
         o = mest_oracle(g)
         covers = exact_cover(mest_oracle(g)).covers
-        alphas.append(min_alpha(o, run_greedy(o), covers))
+        trace = run_greedy(o)
+        alphas.append(min_alpha(trace, covers, coefficients(o, trace)))
     all_ge_one = all(a >= 1 for a in alphas)
     loads_ok = 0
     for seed in range(25):
         g = generate_random("mest", 9000 + seed, n_vertices=5 + seed % 4)
-        rep = verify_beta_one(g)
+        rep, _, _ = beta_certificate(g)
         # equality at beta=1 is the strongest form of "at least the load"
         assert rep["per_node_loads_ok"], seed
         loads_ok += 1

@@ -1,11 +1,11 @@
 import pytest
+from conftest import beta_certificate
 
 from entcover.certify import (MultiLevelFlow, PathOrdering, TreeMove,
                               _Choices, _schedule_once, apply_move,
                               check_admissible, flow_respects_capacities,
-                              is_spanning_tree, transform_tree,
-                              verify_beta_one)
-from entcover.core import LOG2E
+                              is_spanning_tree, transform_tree)
+from entcover.core import LOG2E, entropy
 from entcover.exact import Optimum, exact_mest
 from entcover.greedy import coefficients, run_greedy
 from entcover.instances import (GraphInstance, TreeCoverSolution,
@@ -28,6 +28,11 @@ def greedy_tree(inst, tie_break="lowest"):
 UNCERTIFIABLE = generate_random("mest", 87116, n_vertices=7, extra_edge_prob=0.2)
 
 
+def bound_holds(trace, opt):
+    """The spanning-tree entropy bound with multiplier β = 1."""
+    return entropy(trace.cover) <= opt.entropy + LOG2E + 1e-9
+
+
 class TestTreeMove:
     def test_arity_validation(self):
         TreeMove("reversal", (0, 1))
@@ -44,14 +49,6 @@ class TestTreeMove:
         assert TreeMove("reversal", (0, 1)).levels == 1
         assert TreeMove("rotation", (0, 1, 2)).levels == 1
         assert TreeMove("sliding", (0, 1, 2)).levels == 2
-
-    def test_biased(self):
-        rank = (1, 2, 3)
-        assert TreeMove("reversal", (0, 1)).biased(rank)       # 1 < 2
-        assert not TreeMove("reversal", (1, 0)).biased(rank)
-        assert TreeMove("sliding", (0, 1, 2)).biased(rank)     # 1 < 2 < 3
-        assert not TreeMove("sliding", (2, 1, 0)).biased(rank)
-        assert TreeMove("rotation", (2, 1, 0)).biased(rank)    # charge stays put
 
 
 class TestApplyMove:
@@ -175,55 +172,54 @@ class TestTransform:
         # replacement, which no pair of spanning trees can do
         sol, trace, coeffs = greedy_tree(P3)
         with pytest.raises(RuntimeError, match="no crossing greedy edge"):
-            _schedule_once(P3, sol.as_dict(), {(0, 1): 1}, trace.rank, coeffs,
+            _schedule_once(sol.as_dict(), {(0, 1): 1}, trace.rank, coeffs,
                            trace.length, _Choices())
 
 
 class TestVerifyBetaOne:
     def test_path_graph(self):
-        rep = verify_beta_one(P3)
+        rep, trace, _ = beta_certificate(P3)
         assert rep["certified"]
         assert rep["beta_witness"] == 1
         assert rep["moves"] == []
-        assert rep["entropies"]["greedy_bits"] == pytest.approx(0.0, abs=1e-12)
+        assert entropy(trace.cover) == pytest.approx(0.0, abs=1e-12)
 
     def test_star_slack_is_log2e(self):
         star = GraphInstance(4, ((0, 1), (0, 2), (0, 3)))
-        rep = verify_beta_one(star)
+        rep, trace, opt = beta_certificate(star)
         assert rep["certified"]
-        assert rep["slack_bits"] == pytest.approx(LOG2E, abs=1e-12)
+        slack = opt.entropy + LOG2E - entropy(trace.cover)
+        assert slack == pytest.approx(LOG2E, abs=1e-12)
 
     def test_triangle(self):
-        rep = verify_beta_one(TRIANGLE)
+        rep, trace, opt = beta_certificate(TRIANGLE)
         assert rep["certified"]
-        assert rep["bound_holds"]
-        assert rep["entropies"]["greedy_bits"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["entropies"]["optimal_bits"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_precomputed_inputs_match(self):
-        for seed in range(6):
-            g = generate_random("mest", seed, n_vertices=5 + seed % 3)
-            o = mest_oracle(g)
-            trace = run_greedy(o)
-            held = verify_beta_one(g, trace=trace, opt=exact_mest(g, oracle=o),
-                                   coeffs=coefficients(o, trace), oracle=o)
-            assert held == verify_beta_one(g), seed
+        assert bound_holds(trace, opt)
+        assert entropy(trace.cover) == pytest.approx(0.0, abs=1e-12)
+        assert opt.entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_report_shape(self):
-        rep = verify_beta_one(TRIANGLE)
-        for key in ("beta_witness", "bound_holds", "entropies", "bound_rhs_bits",
-                    "slack_bits", "certified", "witness_index", "admissible",
-                    "endpoints_biased", "intermediate_trees_ok", "reaches_greedy",
-                    "per_node_loads_ok", "level_endpoints_ok",
-                    "arc_capacities_ok", "moves", "levels", "paths"):
-            assert key in rep, key
+        keys = {"beta_witness", "certified", "error", "witness_index",
+                "admissible", "violating_path", "endpoints_biased",
+                "intermediate_trees_ok", "reaches_greedy",
+                "per_node_loads_ok", "level_endpoints_ok",
+                "arc_capacities_ok", "moves", "levels", "paths"}
+        rep, _, _ = beta_certificate(TRIANGLE)
+        assert set(rep) == keys
+        assert rep["error"] is None
+        # an uncertified report has the same keys
+        opt = exact_mest(UNCERTIFIABLE)
+        one = Optimum(opt.entropy, (opt.covers[2],), (opt.solutions[2],))
+        rep, _, _ = beta_certificate(UNCERTIFIABLE, "highest", opt=one)
+        assert rep["certified"] is False
+        assert set(rep) == keys
 
     def test_hard_graph_relaxed_schedule(self):
         # the first schedule tried, for the first witness tried, certifies
         g = GraphInstance(6, ((0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 4)))
-        rep = verify_beta_one(g)
+        rep, trace, opt = beta_certificate(g)
         assert rep["certified"]
-        assert rep["bound_holds"]
+        assert bound_holds(trace, opt)
 
     def test_walks_past_uncertifiable_witness(self):
         opt = exact_mest(UNCERTIFIABLE)
@@ -231,24 +227,24 @@ class TestVerifyBetaOne:
         sol, _, _ = greedy_tree(UNCERTIFIABLE, "highest")
         assert set(good.tree_edges) != set(sol.tree_edges)
         two = Optimum(opt.entropy, (opt.covers[2], opt.covers[3]), (bad, good))
-        rep = verify_beta_one(UNCERTIFIABLE, "highest", opt=two)
+        rep, _, _ = beta_certificate(UNCERTIFIABLE, "highest", opt=two)
         assert rep["certified"]
         assert rep["witness_index"] == 1
 
     def test_uncertified_report(self):
         opt = exact_mest(UNCERTIFIABLE)
         one = Optimum(opt.entropy, (opt.covers[2],), (opt.solutions[2],))
-        rep = verify_beta_one(UNCERTIFIABLE, "highest", opt=one)
+        rep, trace, opt = beta_certificate(UNCERTIFIABLE, "highest", opt=one)
         assert rep["certified"] is False
-        assert rep["bound_holds"]
+        assert bound_holds(trace, opt)
         assert "no certifiable schedule" in rep["error"]
 
     def test_seeded_batch(self):
         for seed in range(50):
             g = generate_random('mest', seed, n_vertices=5 + seed % 4)
-            rep = verify_beta_one(g)
+            rep, trace, opt = beta_certificate(g)
             assert rep["certified"], seed
-            assert rep["bound_holds"], seed
+            assert bound_holds(trace, opt), seed
             assert rep["intermediate_trees_ok"], seed
             assert rep["admissible"], seed
             assert rep["endpoints_biased"], seed
@@ -257,11 +253,11 @@ class TestVerifyBetaOne:
 
 def test_capacity_report():
     # same-tree witness has no arcs, so capacities hold trivially
-    rep = verify_beta_one(P3)
+    rep, _, _ = beta_certificate(P3)
     assert rep["arc_capacities_ok"]
     # the triangle's first schedule, for its first witness tried, respects
     # them too
-    rep = verify_beta_one(TRIANGLE)
+    rep, _, _ = beta_certificate(TRIANGLE)
     assert rep["arc_capacities_ok"]
 
 
@@ -272,11 +268,3 @@ def test_flow_respects_capacities_empty():
     coeffs = coefficients(o, trace)
     flow = MultiLevelFlow(0, ((0, 2, 0),), ((1,), (1,)), ())
     assert flow_respects_capacities(flow, coeffs, trace.rank, trace.length)
-
-
-def test_path_ordering_validate():
-    flow = MultiLevelFlow(1, ((1,), (0,)), ((1, 0),), (((1, 0),),))
-    rank = (1, 2)
-    ordering = PathOrdering.canonical(flow, rank)
-    assert ordering.validate(flow, rank)
-    assert not PathOrdering((0, 0)).validate(flow, rank)

@@ -265,7 +265,6 @@ def test_batch_internal_error_keeps_going(capsys, monkeypatch):
 
 
 def test_verify_mest_runs_exact_mest_once(tmp_path, capsys, monkeypatch):
-    from entcover import certify
     real = cli.exact_mest
     calls = []
 
@@ -274,7 +273,6 @@ def test_verify_mest_runs_exact_mest_once(tmp_path, capsys, monkeypatch):
         return real(inst, **kwargs)
 
     monkeypatch.setattr(cli, "exact_mest", counted)
-    monkeypatch.setattr(certify, "exact_mest", counted)
     f = write(tmp_path, "t.graph", TRIANGLE)
     code, _, _ = run(capsys, "verify", f, "--kind", "mest", "--json")
     assert code == 0
@@ -282,7 +280,6 @@ def test_verify_mest_runs_exact_mest_once(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_mest_builds_one_coefficient_table(tmp_path, capsys, monkeypatch):
-    from entcover import certify
     real = cli.coefficients
     calls = []
 
@@ -291,7 +288,6 @@ def test_verify_mest_builds_one_coefficient_table(tmp_path, capsys, monkeypatch)
         return real(oracle, trace)
 
     monkeypatch.setattr(cli, "coefficients", counted)
-    monkeypatch.setattr(certify, "coefficients", counted)
     f = write(tmp_path, "t.graph", TRIANGLE)
     code, _, _ = run(capsys, "verify", f, "--kind", "mest", "--json")
     assert code == 0
@@ -313,6 +309,32 @@ def test_verify_mest_builds_one_oracle(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["beta_certified"] is True
     assert len(calls) == 1
+
+
+def test_verify_mest_uncertified_is_a_bound_violation(tmp_path, capsys,
+                                                      monkeypatch):
+    # under tie-break "highest", witness 2 of this graph has no certifiable
+    # schedule; offered as the only optimum, nothing certifies
+    inst = generate_random("mest", 87116, n_vertices=7, extra_edge_prob=0.2)
+    real = cli.exact_mest
+
+    def witness_two(graph, **kwargs):
+        opt = real(graph, **kwargs)
+        return dataclasses.replace(opt, covers=(opt.covers[2],),
+                                   solutions=(opt.solutions[2],))
+
+    monkeypatch.setattr(cli, "exact_mest", witness_two)
+    f = write(tmp_path, "g.graph", serialize_instance(inst).decode())
+    code, out, _ = run(capsys, "verify", f, "--kind", "mest",
+                       "--tie-break", "highest", "--json")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["beta_certified"] is False
+    assert rep["ok"] is False
+    code, out, _ = run(capsys, "batch", "--dir", str(tmp_path), "--kind", "mest",
+                       "--tie-break", "highest", "--json")
+    assert code == 1
+    assert json.loads(out)["status"] == "bound-violation"
 
 
 def test_batch_seeds_need_kind(capsys):

@@ -144,21 +144,23 @@ class MinAlpha(unittest.TestCase):
         o = mesc_oracle(inst)
         trace = run_greedy(o)
         opt = exact_cover(mesc_oracle(inst))
-        self.assertEqual(min_alpha(o, trace, opt.covers), Fraction(1))
+        table = coefficients(o, trace)
+        self.assertEqual(min_alpha(trace, opt.covers, table), Fraction(1))
 
     def test_unit_alpha_orientation(self):
         g = GraphInstance(3, ((0, 1), (0, 2), (1, 2)))
         o = meo_oracle(g)
         trace = run_greedy(o)
         opt = exact_cover(meo_oracle(g))
-        self.assertEqual(min_alpha(o, trace, opt.covers), Fraction(1))
+        table = coefficients(o, trace)
+        self.assertEqual(min_alpha(trace, opt.covers, table), Fraction(1))
 
     def test_empty_covers_rejected(self):
         g = GraphInstance(3, ((0, 1), (0, 2), (1, 2)))
         o = meo_oracle(g)
         trace = run_greedy(o)
         with self.assertRaises(ValueError):
-            min_alpha(o, trace, [])
+            min_alpha(trace, [], coefficients(o, trace))
 
     def test_probes_start_at_one(self):
         from unittest import mock
@@ -172,7 +174,7 @@ class MinAlpha(unittest.TestCase):
                 opt = exact_cover(mk(inst))
                 with mock.patch.object(flow, "build_alpha_network",
                                        wraps=flow.build_alpha_network) as spy:
-                    min_alpha(o, trace, opt.covers)
+                    min_alpha(trace, opt.covers, coefficients(o, trace))
                 # alpha >= 1 exactly when every floor(alpha*delta) >= delta
                 for call in spy.call_args_list:
                     caps = call.args[3]
@@ -187,7 +189,7 @@ class MinAlpha(unittest.TestCase):
                 o = mk(inst)
                 trace = run_greedy(o)
                 opt = exact_cover(mk(inst))
-                a = min_alpha(o, trace, opt.covers)
+                a = min_alpha(trace, opt.covers, coefficients(o, trace))
                 self.assertGreaterEqual(a, 1, (kind, seed))
 
 
@@ -216,7 +218,7 @@ class ApproximationBound(unittest.TestCase):
             o = mesc_oracle(inst)
             trace = run_greedy(o)
             opt = exact_cover(mesc_oracle(inst))
-            a = min_alpha(o, trace, opt.covers)
+            a = min_alpha(trace, opt.covers, coefficients(o, trace))
             rep = approximation_bound(entropy(trace.cover), opt.entropy, a,
                                       o.total())
             self.assertTrue(rep.holds, seed)
