@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * Elements of a ground set are the integers ``0 .. m-1``.
 * Subsets are plain Python ints used as bitmasks (bit ``j`` set means
-  element ``j`` is in the subset), which caps ``m`` at 63.
+  element ``j`` is in the subset); Python ints are unbounded, so ``m``
+  is too.  Exhaustive checks carry their own size guards.
 * A polymatroid is a function ``f`` on subsets that is normalized
   (``f(empty) == 0``), monotone and submodular, with nonnegative
   integer values.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, cycle, islice, repeat
 from operator import gt, lt, sub
-from typing import (Callable, Iterable, Iterator, Optional, Sequence,
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 LOG2E = math.log2(math.e)
@@ -40,8 +41,8 @@ class GroundSet:
     m: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= 63:
-            raise ValueError(f"ground set size must be in 1..63, got {self.m}")
+        if self.m < 1:
+            raise ValueError(f"ground set size must be at least 1, got {self.m}")
 
     @property
     def universe(self) -> int:
@@ -82,6 +83,14 @@ class PolymatroidOracle:
     def total(self) -> int:
         """f(U) — the amount every cover must allocate."""
         return self.eval(self.ground.universe)
+
+    def gains(self, base: int) -> List[int]:
+        """Every marginal gain f(base + j) - f(base), j = 0..m-1; it is 0
+        for j in base.  Read through eval and its cache; the family
+        oracles of instances.py override it with a closed form that
+        builds the union of base once."""
+        f_base = self.eval(base)
+        return [self.eval(base | 1 << j) - f_base for j in range(self.ground.m)]
 
 
 @dataclass(frozen=True)

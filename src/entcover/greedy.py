@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from .core import Cover, PolymatroidOracle
@@ -82,11 +83,15 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
     f(S) reaches f(U).
 
     Ties in the argmax are broken by the policy: "lowest" (default),
-    "highest", or "random:<seed>" (a seeded priority shuffle).  The lazy
+    "highest", or "random:<seed>" (a seeded priority shuffle).  The naive
+    variant reads one gain vector (oracle.gains) per step.  The lazy
     variant maintains a max-heap of stale marginals and recomputes on
     pop; for a genuine polymatroid it produces the identical trace.
     """
     m = oracle.m
+    f_empty = oracle.eval(0)
+    if f_empty != 0:
+        raise ValueError(f"f(∅) must be 0, got {f_empty}")
     total = oracle.total()
     if total < 1:
         raise ValueError("f(U) must be at least 1")
@@ -97,8 +102,7 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
     fs = 0
     if lazy:
         heap = []
-        for j in range(m):
-            g = oracle.eval(1 << j)
+        for j, g in enumerate(oracle.gains(0)):
             if g < 0:
                 raise ValueError("non-monotone oracle")
             heap.append((-g, key[j], j))
@@ -122,19 +126,14 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
     else:
         remaining = set(range(m))
         while fs < total:
-            best_j = -1
-            best = None
-            for j in remaining:
-                g = oracle.eval(s | (1 << j)) - fs
-                if g < 0:
-                    raise ValueError("non-monotone oracle")
-                cand = (-g, key[j])
-                if best is None or cand < best:
-                    best = cand
-                    best_j = j
-            if best is None or -best[0] == 0:
+            gains = oracle.gains(s)
+            if any(gains[j] < 0 for j in remaining):
+                raise ValueError("non-monotone oracle")
+            best_j = min(remaining, key=lambda j: (-gains[j], key[j]),
+                         default=-1)
+            if best_j < 0 or gains[best_j] == 0:
                 raise ValueError("oracle stalled before reaching f(U); not monotone submodular")
-            g = -best[0]
+            g = gains[best_j]
             s |= 1 << best_j
             fs += g
             remaining.discard(best_j)
@@ -165,24 +164,18 @@ class CoefficientTable:
 def coefficients(oracle: PolymatroidOracle, trace: GreedyTrace) -> CoefficientTable:
     """Second differences of f along the greedy prefixes.
 
-    a[r][j] = (f(W_r) - f(W_{r-1})) - (f(W_r + j) - f(W_{r-1} + j)).
-    The j = i_r diagonal automatically equals delta_r and rows vanish on
-    already-chosen elements; no case analysis is needed here.
+    a[r][j] = (f(W_r) - f(W_{r-1})) - (f(W_r + j) - f(W_{r-1} + j)),
+    which is the gain of j at W_{r-1} minus its gain at W_r: one
+    oracle.gains vector per prefix, l + 1 in all.  The j = i_r diagonal
+    automatically equals delta_r and rows vanish on already-chosen
+    elements; no case analysis is needed here.
     """
-    m = oracle.m
     rows: List[Tuple[int, ...]] = []
-    prev = 0
-    f_prev = 0
-    for r in range(trace.length):
-        w = trace.prefixes[r]
-        f_w = oracle.eval(w)
-        row = []
-        for j in range(m):
-            bit = 1 << j
-            row.append((f_w - f_prev)
-                       - (oracle.eval(w | bit) - oracle.eval(prev | bit)))
-        rows.append(tuple(row))
-        prev, f_prev = w, f_w
+    prev = oracle.gains(0)
+    for w in trace.prefixes:
+        cur = oracle.gains(w)
+        rows.append(tuple(map(sub, prev, cur)))
+        prev = cur
     return CoefficientTable(tuple(rows))
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Tuple,
+                    TYPE_CHECKING, Union)
 
 from .core import Cover, GroundSet, PolymatroidOracle
 
@@ -144,6 +145,36 @@ class TreeCoverSolution:
 
 # ---------------------------------------------------------------- oracles
 
+class _FamilyOracle(PolymatroidOracle):
+    """A family's oracle: eval reads the subset function through the
+    cache, and gains is the family's closed form, which builds the union
+    of the base once instead of once per element."""
+
+    def __init__(self, ground: GroundSet, fn: Callable[[int], int],
+                 gains: Callable[[int], List[int]]) -> None:
+        super().__init__(ground, fn)
+        self._gains = gains
+
+    def gains(self, base: int) -> List[int]:
+        if base >> self.ground.m:
+            raise ValueError("subset mask outside the ground set")
+        return self._gains(base)
+
+
+def _coverage_oracle(masks: List[int]) -> PolymatroidOracle:
+    """f(S) = size of the union of masks[j] over j in S; the gain of j is
+    the part of masks[j] that union leaves out."""
+
+    def fn(sub: int) -> int:
+        return _union(masks, sub).bit_count()
+
+    def gains(base: int) -> List[int]:
+        free = ~_union(masks, base)
+        return [(mk & free).bit_count() for mk in masks]
+
+    return _FamilyOracle(GroundSet(len(masks)), fn, gains)
+
+
 def mesc_oracle(inst: SetCoverInstance) -> PolymatroidOracle:
     """f(S) = number of universe elements covered by the union of chosen sets."""
     masks = []
@@ -152,11 +183,7 @@ def mesc_oracle(inst: SetCoverInstance) -> PolymatroidOracle:
         for e in s:
             mk |= 1 << e
         masks.append(mk)
-
-    def fn(sub: int) -> int:
-        return _union(masks, sub).bit_count()
-
-    return PolymatroidOracle(GroundSet(inst.m), fn)
+    return _coverage_oracle(masks)
 
 
 def meo_oracle(inst: GraphInstance) -> PolymatroidOracle:
@@ -165,11 +192,7 @@ def meo_oracle(inst: GraphInstance) -> PolymatroidOracle:
     for i, (u, v) in enumerate(inst.edges):
         inc[u] |= 1 << i
         inc[v] |= 1 << i
-
-    def fn(sub: int) -> int:
-        return _union(inc, sub).bit_count()
-
-    return PolymatroidOracle(GroundSet(inst.n_vertices), fn)
+    return _coverage_oracle(inc)
 
 
 def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
@@ -181,6 +204,10 @@ def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
     S, each within distance 2 of the next, joins them.  So the rank is
     |S ∪ N(S)| minus the components of G²[S], which a bitmask flood fill
     over the distance-2 neighbourhoods counts.
+
+    Adding j outside S covers the c_j vertices of N[j] outside S ∪ N(S)
+    and fuses j with the t_j components of G²[S] within distance 2 of
+    it, so its gain is c_j - 1 + t_j.
     """
     if not inst.is_connected():
         raise ValueError("spanning-tree oracle requires a connected graph")
@@ -190,6 +217,7 @@ def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
     near = [nbr[v] | _union(nbr, nbr[v]) for v in range(n)]
+    closed = [nbr[v] | 1 << v for v in range(n)]
 
     def fn(sub: int) -> int:
         comps = 0
@@ -202,7 +230,27 @@ def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
                 frontier = _union(near, frontier) & rest
         return (sub | _union(nbr, sub)).bit_count() - comps
 
-    return PolymatroidOracle(GroundSet(n), fn)
+    def gains(base: int) -> List[int]:
+        t = [0] * n  # t[j]: components of G²[base] within distance 2 of j
+        rest = base
+        while rest:
+            frontier = rest & -rest
+            reach = 0
+            while frontier:
+                rest ^= frontier
+                grown = _union(near, frontier)
+                reach |= grown
+                frontier = grown & rest
+            reach &= ~base
+            while reach:
+                low = reach & -reach
+                t[low.bit_length() - 1] += 1
+                reach ^= low
+        free = ~(base | _union(nbr, base))
+        return [0 if base >> j & 1 else (closed[j] & free).bit_count() - 1 + t[j]
+                for j in range(n)]
+
+    return _FamilyOracle(GroundSet(n), fn, gains)
 
 
 def _union(masks: List[int], sub: int) -> int:
@@ -421,6 +469,7 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
         if len(rows) - 1 != ne:
             raise ValueError(f"line {hdr_ln}: expected {ne} edge lines, found {len(rows) - 1}")
         edges: List[Edge] = []
+        seen: set = set()
         for ln, body in rows[1:]:
             toks = body.split()
             if len(toks) != 2:
@@ -434,8 +483,9 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
             if not (0 <= u < nv and 0 <= v < nv):
                 raise ValueError(f"line {ln}: vertex out of range 0..{nv - 1}")
             e = (u, v) if u < v else (v, u)
-            if e in edges:
+            if e in seen:
                 raise ValueError(f"line {ln}: duplicate edge {e}")
+            seen.add(e)
             edges.append(e)
         try:
             return GraphInstance(nv, tuple(sorted(edges)))

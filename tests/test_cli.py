@@ -67,6 +67,20 @@ def test_greedy_above_exhaustive_limit(tmp_path, capsys, kind):
     assert len(rep["cover"]) == 40
 
 
+@pytest.mark.parametrize("kind", ["mesc", "meo", "mest"])
+def test_greedy_past_machine_word(tmp_path, capsys, kind):
+    # m = 100: ground sets are unbounded ints, and the witness is linear
+    params = {"m": 100, "n": 200} if kind == "mesc" else {"n_vertices": 100}
+    inst = generate_random(kind, 11, **params)
+    f = write(tmp_path, f"huge.{kind}", serialize_instance(inst).decode())
+    code, out, err = run(capsys, "greedy", f, "--kind", kind, "--json")
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["cover_valid"] is True
+    assert rep["cover_check"] == "witness"
+    assert len(rep["cover"]) == 100
+
+
 def test_greedy_invalid_cover_exit_1(tmp_path, capsys, monkeypatch):
     real = cli.run_greedy
 

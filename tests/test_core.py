@@ -20,10 +20,12 @@ def make_oracle(m, fn):
 def test_ground_set_bounds():
     GroundSet(1)
     GroundSet(63)
+    # bitmasks are unbounded ints: no cap at the machine word
+    assert GroundSet(100).universe == (1 << 100) - 1
     with pytest.raises(ValueError):
         GroundSet(0)
     with pytest.raises(ValueError):
-        GroundSet(64)
+        GroundSet(-1)
     assert GroundSet(3).universe == 0b111
     assert list(GroundSet(4)) == [0, 1, 2, 3]
 

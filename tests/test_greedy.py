@@ -8,6 +8,8 @@ from entcover.greedy import (GreedyTrace, coefficients, run_greedy,
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 generate_random, mesc_oracle, meo_oracle,
                                 mest_oracle, realise_cover)
+from greedy_reference import coefficients_by_eval
+from mest_reference import rank_by_union_find
 
 SETS = SetCoverInstance(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({2})))
 TRIANGLE = GraphInstance(3, ((0, 1), (0, 2), (1, 2)))
@@ -47,6 +49,15 @@ def test_rejects_zero_total():
     o = PolymatroidOracle(GroundSet(2), lambda s: 0)
     with pytest.raises(ValueError, match="at least 1"):
         run_greedy(o)
+
+
+def test_rejects_nonzero_empty_value():
+    # the gains are measured against f(S), so f(empty) != 0 is refused
+    # up front rather than folded into the first gain
+    o = PolymatroidOracle(GroundSet(2), lambda s: 1 + bin(s).count("1"))
+    for lazy in (False, True):
+        with pytest.raises(ValueError, match=r"f\(∅\) must be 0, got 1"):
+            run_greedy(o, lazy=lazy)
 
 
 def test_stall_detection():
@@ -126,6 +137,75 @@ def test_coefficient_identities_random():
             o = mk(inst)
             trace = run_greedy(o)
             coeff_identities(o, trace, coefficients(o, trace))
+
+
+ORACLES = (("mesc", mesc_oracle), ("meo", meo_oracle), ("mest", mest_oracle))
+
+
+def random_mask(rng, m, density):
+    return sum(1 << j for j in range(m) if rng.random() < density)
+
+
+def family_instance(kind, seed, m):
+    if kind == "mesc":
+        return generate_random(kind, seed, m=m, n=2 * m, density=0.1)
+    return generate_random(kind, seed, n_vertices=m,
+                           extra_edge_prob=0.05 + 0.1 * (seed % 3))
+
+
+@pytest.mark.parametrize("kind,make", ORACLES, ids=[k for k, _ in ORACLES])
+def test_family_gains_match_eval(kind, make):
+    # the closed-form gain vector against f(S + j) - f(S) read through
+    # eval, sparse to dense masks, up to and past 63 elements
+    rng = random.Random(kind)
+    for seed in range(24):
+        m = (3, 9, 20, 40, 63, 80)[seed % 6]
+        inst = family_instance(kind, seed, m)
+        o = make(inst)
+        masks = [0, (1 << m) - 1] + [random_mask(rng, m, d)
+                                     for d in (0.05, 0.15, 0.3, 0.6, 0.9)]
+        for s in masks:
+            gains = o.gains(s)
+            want = [o.eval(s | 1 << j) - o.eval(s) for j in range(m)]
+            assert gains == want, (kind, seed, s)
+            assert all(gains[j] == 0 for j in range(m) if s >> j & 1)
+        with pytest.raises(ValueError, match="outside the ground set"):
+            o.gains(1 << m)
+
+
+def test_mest_gains_match_union_find():
+    # a third route for the spanning-tree gains: the rank by contraction
+    rng = random.Random(3)
+    for seed in range(10):
+        g = family_instance("mest", seed, 30)
+        o = mest_oracle(g)
+        for _ in range(10):
+            s = random_mask(rng, 30, rng.choice((0.1, 0.3, 0.6)))
+            base = rank_by_union_find(g, s)
+            assert o.gains(s) == [rank_by_union_find(g, s | 1 << j) - base
+                                  for j in range(30)], (seed, s)
+
+
+def test_generic_gains_read_through_eval():
+    o = PolymatroidOracle(GroundSet(3), lambda s: min(2, bin(s).count("1")))
+    assert o.gains(0) == [1, 1, 1]
+    assert o.gains(0b001) == [0, 1, 1]
+    assert o.gains(0b011) == [0, 0, 0]
+    with pytest.raises(ValueError, match="outside the ground set"):
+        o.gains(0b1000)
+
+
+@pytest.mark.parametrize("kind,make", ORACLES, ids=[k for k, _ in ORACLES])
+def test_coefficients_match_eval_reference(kind, make):
+    # gain-vector differences against the four-read second differences
+    for seed in range(30):
+        m = 2 + seed % 25
+        inst = family_instance(kind, seed, m)
+        for tie_break in ("lowest", "highest"):
+            o = make(inst)
+            trace = run_greedy(o, tie_break=tie_break)
+            assert coefficients(o, trace) == coefficients_by_eval(make(inst), trace), \
+                (kind, seed, tie_break)
 
 
 def test_specialized_meo_matches_generic():

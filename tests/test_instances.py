@@ -201,6 +201,16 @@ class FileFormat(unittest.TestCase):
             with self.assertRaisesRegex(ValueError, frag):
                 parse_instance(text)
 
+    def test_duplicate_edge_after_long_edge_list(self):
+        # the duplicate is found on its own line however long the list
+        edges = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+        blob = f"graph 60 {len(edges) + 1}\n{text}30 12\n"
+        last = len(edges) + 2
+        with self.assertRaisesRegex(ValueError,
+                                    rf"^line {last}: duplicate edge \(12, 30\)$"):
+            parse_instance(blob)
+
     def test_uncovered_element_is_parse_error(self):
         with self.assertRaises(ValueError):
             parse_instance("mesc 1 2\n0\n")
