@@ -87,10 +87,15 @@ class PolymatroidOracle:
     def gains(self, base: int) -> List[int]:
         """Every marginal gain f(base + j) - f(base), j = 0..m-1; it is 0
         for j in base.  Read through eval and its cache; the family
-        oracles of instances.py override it with a closed form that
-        builds the union of base once."""
+        oracles of instances.py override it with a closed form on the
+        state they keep along a growing chain of bases."""
         f_base = self.eval(base)
         return [self.eval(base | 1 << j) - f_base for j in range(self.ground.m)]
+
+    def gain(self, base: int, j: int) -> int:
+        """The one marginal gain f(base + j) - f(base); 0 for j in base.
+        Read through eval here; the family oracles override it too."""
+        return self.eval(base | 1 << j) - self.eval(base)
 
 
 @dataclass(frozen=True)

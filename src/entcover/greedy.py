@@ -85,8 +85,9 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
     Ties in the argmax are broken by the policy: "lowest" (default),
     "highest", or "random:<seed>" (a seeded priority shuffle).  The naive
     variant reads one gain vector (oracle.gains) per step.  The lazy
-    variant maintains a max-heap of stale marginals and recomputes on
-    pop; for a genuine polymatroid it produces the identical trace.
+    variant maintains a max-heap of stale marginals and recomputes one
+    (oracle.gain) per pop; for a genuine polymatroid it produces the
+    identical trace.
     """
     m = oracle.m
     f_empty = oracle.eval(0)
@@ -111,7 +112,7 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
             if not heap:
                 raise ValueError("oracle stalled before reaching f(U); not monotone submodular")
             _, k, j = heapq.heappop(heap)
-            g = oracle.eval(s | (1 << j)) - fs
+            g = oracle.gain(s, j)
             if g < 0:
                 raise ValueError("non-monotone oracle")
             if heap and (-g, k) > (heap[0][0], heap[0][1]):
@@ -124,19 +125,19 @@ def run_greedy(oracle: PolymatroidOracle, tie_break: str = "lowest",
             order.append(j)
             deltas.append(g)
     else:
-        remaining = set(range(m))
+        # chosen elements gain 0, so the first element in tie order that
+        # attains a positive maximum is unchosen
+        tie_order = sorted(range(m), key=key.__getitem__)
         while fs < total:
             gains = oracle.gains(s)
-            if any(gains[j] < 0 for j in remaining):
+            if min(gains) < 0:
                 raise ValueError("non-monotone oracle")
-            best_j = min(remaining, key=lambda j: (-gains[j], key[j]),
-                         default=-1)
-            if best_j < 0 or gains[best_j] == 0:
+            g = max(gains)
+            if g == 0:
                 raise ValueError("oracle stalled before reaching f(U); not monotone submodular")
-            g = gains[best_j]
+            best_j = next(j for j in tie_order if gains[j] == g)
             s |= 1 << best_j
             fs += g
-            remaining.discard(best_j)
             order.append(best_j)
             deltas.append(g)
     if fs != total:
@@ -200,7 +201,10 @@ def specialized_coefficients(inst: GraphInstance, trace: GreedyTrace,
     if problem not in ("meo", "mest"):
         raise ValueError(f"unknown problem kind '{problem}'")
     n = inst.n_vertices
-    adj = {v: set(inst.neighbors(v)) for v in range(n)}
+    adj: List[set] = [set() for _ in range(n)]
+    for (u, v) in inst.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     rows: List[Tuple[int, ...]] = []
     if problem == "meo":
         for r in range(trace.length):
@@ -219,19 +223,20 @@ def specialized_coefficients(inst: GraphInstance, trace: GreedyTrace,
             rows.append(tuple(row))
         return CoefficientTable(tuple(rows))
 
-    # mest: disjoint-set contraction per (step, element) pair
-    def merged_components(ir: int, touch_mask: int) -> int:
-        parent = list(range(n))
-        for (u, v) in inst.edges:
-            if (touch_mask >> u) & 1 or (touch_mask >> v) & 1:
-                parent[find(parent, u)] = find(parent, v)
+    # mest: per step, a disjoint-set forest with the edges touching
+    # W_{r-1} contracted; per element, a copy with its own edges added
+    def merged_components(parent: List[int], ir: int) -> int:
         own = find(parent, ir)
         return len({find(parent, k) for k in adj[ir]} - {own})
 
     for r in range(trace.length):
         ir = trace.order[r]
         w_prev = trace.prefix(r)
-        base = merged_components(ir, w_prev)
+        parent = list(range(n))
+        for (u, v) in inst.edges:
+            if (w_prev >> u) & 1 or (w_prev >> v) & 1:
+                parent[find(parent, u)] = find(parent, v)
+        base = merged_components(parent, ir)
         row = []
         for j in range(n):
             if j == ir:
@@ -239,6 +244,9 @@ def specialized_coefficients(inst: GraphInstance, trace: GreedyTrace,
             elif (w_prev >> j) & 1:
                 row.append(0)
             else:
-                row.append(base - merged_components(ir, w_prev | (1 << j)))
+                with_j = parent.copy()
+                for k in adj[j]:
+                    with_j[find(with_j, k)] = find(with_j, j)
+                row.append(base - merged_components(with_j, ir))
         rows.append(tuple(row))
     return CoefficientTable(tuple(rows))

@@ -79,10 +79,22 @@ class GraphInstance:
             seen.add((u, v))
 
     def is_connected(self) -> bool:
-        parent = list(range(self.n_vertices))
-        for u, v in self.edges:
-            parent[find(parent, u)] = find(parent, v)
-        return len({find(parent, i) for i in range(self.n_vertices)}) == 1
+        """A flood fill from vertex 0 over the neighbour masks reaches
+        every vertex."""
+        nbr = self.neighbor_masks()
+        seen = frontier = 1
+        while frontier:
+            frontier = _union(nbr, frontier) & ~seen
+            seen |= frontier
+        return seen == (1 << self.n_vertices) - 1
+
+    def neighbor_masks(self) -> List[int]:
+        """nbr[v] has bit u set for every edge (u, v)."""
+        nbr = [0] * self.n_vertices
+        for (u, v) in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return nbr
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         out = [b if a == v else a for (a, b) in self.edges if v in (a, b)]
@@ -147,32 +159,60 @@ class TreeCoverSolution:
 
 class _FamilyOracle(PolymatroidOracle):
     """A family's oracle: eval reads the subset function through the
-    cache, and gains is the family's closed form, which builds the union
-    of the base once instead of once per element."""
+    cache, while gains and gain are the family's closed forms on the
+    state of the last base they were asked about.  The greedy and the
+    coefficient table ask along one growing chain W_0 ⊂ W_1 ⊂ …, so the
+    state grows by each base's new elements only; a base that does not
+    contain the last one starts it again from ∅."""
 
-    def __init__(self, ground: GroundSet, fn: Callable[[int], int],
-                 gains: Callable[[int], List[int]]) -> None:
+    def __init__(self, ground: GroundSet, fn: Callable[[int], int]) -> None:
         super().__init__(ground, fn)
-        self._gains = gains
+        self._base = 0
+        self._reset()
 
-    def gains(self, base: int) -> List[int]:
+    def _at(self, base: int) -> None:
+        """Bring the kept state to base."""
         if base >> self.ground.m:
             raise ValueError("subset mask outside the ground set")
-        return self._gains(base)
+        if self._base & ~base:
+            self._base = 0
+            self._reset()
+        if base != self._base:
+            self._grow(base & ~self._base)
+            self._base = base
+
+    def gains(self, base: int) -> List[int]:
+        self._at(base)
+        return self._gains()
+
+    def gain(self, base: int, j: int) -> int:
+        if (base | 1 << j) >> self.ground.m:
+            raise ValueError("subset mask outside the ground set")
+        self._at(base)
+        return 0 if base >> j & 1 else self._gain(j)
 
 
-def _coverage_oracle(masks: List[int]) -> PolymatroidOracle:
-    """f(S) = size of the union of masks[j] over j in S; the gain of j is
-    the part of masks[j] that union leaves out."""
+class _CoverageOracle(_FamilyOracle):
+    """f(S) = size of the union of masks[j] over j in S; the state is that
+    union, and the gain of j is the part of masks[j] it leaves out."""
 
-    def fn(sub: int) -> int:
-        return _union(masks, sub).bit_count()
+    def __init__(self, masks: List[int]) -> None:
+        self._masks = masks
+        super().__init__(GroundSet(len(masks)),
+                         lambda sub: _union(masks, sub).bit_count())
 
-    def gains(base: int) -> List[int]:
-        free = ~_union(masks, base)
-        return [(mk & free).bit_count() for mk in masks]
+    def _reset(self) -> None:
+        self._covered = 0
 
-    return _FamilyOracle(GroundSet(len(masks)), fn, gains)
+    def _grow(self, new: int) -> None:
+        self._covered |= _union(self._masks, new)
+
+    def _gains(self) -> List[int]:
+        free = ~self._covered
+        return [(mk & free).bit_count() for mk in self._masks]
+
+    def _gain(self, j: int) -> int:
+        return (self._masks[j] & ~self._covered).bit_count()
 
 
 def mesc_oracle(inst: SetCoverInstance) -> PolymatroidOracle:
@@ -183,7 +223,7 @@ def mesc_oracle(inst: SetCoverInstance) -> PolymatroidOracle:
         for e in s:
             mk |= 1 << e
         masks.append(mk)
-    return _coverage_oracle(masks)
+    return _CoverageOracle(masks)
 
 
 def meo_oracle(inst: GraphInstance) -> PolymatroidOracle:
@@ -192,7 +232,76 @@ def meo_oracle(inst: GraphInstance) -> PolymatroidOracle:
     for i, (u, v) in enumerate(inst.edges):
         inc[u] |= 1 << i
         inc[v] |= 1 << i
-    return _coverage_oracle(inc)
+    return _CoverageOracle(inc)
+
+
+class _TreeOracle(_FamilyOracle):
+    """mest_oracle's rank and gains over the neighbour masks nbr.  The
+    state is S ∪ N(S) and the components of G²[S], each held as its
+    members and their distance-2 reach."""
+
+    def __init__(self, nbr: List[int]) -> None:
+        n = len(nbr)
+        near = [nbr[v] | _union(nbr, nbr[v]) for v in range(n)]
+        self._nbr = nbr
+        self._near = near
+        self._closed = [nbr[v] | 1 << v for v in range(n)]
+
+        # a closure, not a bound method: the oracle holding its own
+        # method would be a reference cycle, freed only by the collector
+        def rank(sub: int) -> int:
+            comps = 0
+            rest = sub
+            while rest:
+                comps += 1
+                frontier = rest & -rest
+                while frontier:
+                    rest ^= frontier
+                    frontier = _union(near, frontier) & rest
+            return (sub | _union(nbr, sub)).bit_count() - comps
+
+        super().__init__(GroundSet(n), rank)
+
+    def _reset(self) -> None:
+        self._covered = 0
+        self._comps: List[Tuple[int, int]] = []
+
+    def _grow(self, new: int) -> None:
+        self._covered |= new | _union(self._nbr, new)
+        comps = self._comps
+        while new:
+            low = new & -new
+            new ^= low
+            near = self._near[low.bit_length() - 1]
+            # the new vertex fuses every component within distance 2
+            members, reach = low, near
+            rest = []
+            for comp in comps:
+                if comp[0] & near:
+                    members |= comp[0]
+                    reach |= comp[1]
+                else:
+                    rest.append(comp)
+            rest.append((members, reach))
+            comps = rest
+        self._comps = comps
+
+    def _gains(self) -> List[int]:
+        base = self._base
+        t = [0] * self.ground.m  # t[j]: components within distance 2 of j
+        for _, reach in self._comps:
+            reach &= ~base
+            while reach:
+                low = reach & -reach
+                t[low.bit_length() - 1] += 1
+                reach ^= low
+        free = ~self._covered
+        return [0 if base >> j & 1 else (closed & free).bit_count() - 1 + t[j]
+                for j, closed in enumerate(self._closed)]
+
+    def _gain(self, j: int) -> int:
+        t = sum([reach >> j & 1 for _, reach in self._comps])
+        return (self._closed[j] & ~self._covered).bit_count() - 1 + t
 
 
 def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
@@ -211,46 +320,7 @@ def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
     """
     if not inst.is_connected():
         raise ValueError("spanning-tree oracle requires a connected graph")
-    n = inst.n_vertices
-    nbr = [0] * n
-    for (u, v) in inst.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    near = [nbr[v] | _union(nbr, nbr[v]) for v in range(n)]
-    closed = [nbr[v] | 1 << v for v in range(n)]
-
-    def fn(sub: int) -> int:
-        comps = 0
-        rest = sub
-        while rest:
-            comps += 1
-            frontier = rest & -rest
-            while frontier:
-                rest ^= frontier
-                frontier = _union(near, frontier) & rest
-        return (sub | _union(nbr, sub)).bit_count() - comps
-
-    def gains(base: int) -> List[int]:
-        t = [0] * n  # t[j]: components of G²[base] within distance 2 of j
-        rest = base
-        while rest:
-            frontier = rest & -rest
-            reach = 0
-            while frontier:
-                rest ^= frontier
-                grown = _union(near, frontier)
-                reach |= grown
-                frontier = grown & rest
-            reach &= ~base
-            while reach:
-                low = reach & -reach
-                t[low.bit_length() - 1] += 1
-                reach ^= low
-        free = ~(base | _union(nbr, base))
-        return [0 if base >> j & 1 else (closed[j] & free).bit_count() - 1 + t[j]
-                for j in range(n)]
-
-    return _FamilyOracle(GroundSet(n), fn, gains)
+    return _TreeOracle(inst.neighbor_masks())
 
 
 def _union(masks: List[int], sub: int) -> int:
@@ -275,16 +345,21 @@ def complete_mest_solution(inst: GraphInstance, trace: "GreedyTrace") -> TreeCov
     not only a greedy one: exact_mest passes tight orders of optima.
     """
     n = inst.n_vertices
-    nbr = {v: inst.neighbors(v) for v in range(n)}
+    nbr = inst.neighbor_masks()
     parent = list(range(n))
     tree: List[Edge] = []
     charge: List[int] = []
     for r, ir in enumerate(trace.order):
         comp_pick: Dict[int, int] = {}
-        for k in nbr[ir]:
+        own = find(parent, ir)
+        rest = nbr[ir]
+        while rest:  # ascending bits => lowest-index neighbour per component
+            low = rest & -rest
+            rest ^= low
+            k = low.bit_length() - 1
             c = find(parent, k)
-            if c != find(parent, ir) and c not in comp_pick:
-                comp_pick[c] = k  # nbr sorted => lowest-index per component
+            if c != own and c not in comp_pick:
+                comp_pick[c] = k
         if len(comp_pick) != trace.deltas[r]:
             raise AssertionError("completion size disagrees with greedy marginal")
         for k in comp_pick.values():

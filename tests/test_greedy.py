@@ -146,6 +146,19 @@ def random_mask(rng, m, density):
     return sum(1 << j for j in range(m) if rng.random() < density)
 
 
+def random_chain(rng, m, steps):
+    """Bases along a growing chain that now and then jumps to a mask that
+    does not contain the last one, so a family oracle's kept state both
+    grows and starts again."""
+    s = 0
+    for _ in range(steps):
+        if s and rng.random() < 0.2:
+            s = random_mask(rng, m, rng.choice((0.05, 0.3))) & ~(s & -s)
+        else:
+            s |= random_mask(rng, m, rng.choice((0.02, 0.1)))
+        yield s
+
+
 def family_instance(kind, seed, m):
     if kind == "mesc":
         return generate_random(kind, seed, m=m, n=2 * m, density=0.1)
@@ -155,8 +168,10 @@ def family_instance(kind, seed, m):
 
 @pytest.mark.parametrize("kind,make", ORACLES, ids=[k for k, _ in ORACLES])
 def test_family_gains_match_eval(kind, make):
-    # the closed-form gain vector against f(S + j) - f(S) read through
-    # eval, sparse to dense masks, up to and past 63 elements
+    # the closed-form gain vector and single gains against f(S + j) - f(S)
+    # read through eval, up to and past 63 elements: sparse to dense
+    # masks, then the bases of a chain; gains and gain take turns at
+    # growing the kept state
     rng = random.Random(kind)
     for seed in range(24):
         m = (3, 9, 20, 40, 63, 80)[seed % 6]
@@ -164,13 +179,46 @@ def test_family_gains_match_eval(kind, make):
         o = make(inst)
         masks = [0, (1 << m) - 1] + [random_mask(rng, m, d)
                                      for d in (0.05, 0.15, 0.3, 0.6, 0.9)]
-        for s in masks:
-            gains = o.gains(s)
+        for step, s in enumerate(masks + list(random_chain(rng, m, 14))):
+            if step % 2:
+                gains = o.gains(s)
+                single = [o.gain(s, j) for j in range(m)]
+            else:
+                single = [o.gain(s, j) for j in range(m)]
+                gains = o.gains(s)
             want = [o.eval(s | 1 << j) - o.eval(s) for j in range(m)]
             assert gains == want, (kind, seed, s)
+            assert single == want, (kind, seed, s)
             assert all(gains[j] == 0 for j in range(m) if s >> j & 1)
         with pytest.raises(ValueError, match="outside the ground set"):
             o.gains(1 << m)
+        with pytest.raises(ValueError, match="outside the ground set"):
+            o.gain(1 << m, 0)
+        with pytest.raises(ValueError, match="outside the ground set"):
+            o.gain(0, m)
+
+
+@pytest.mark.parametrize("kind,make", ORACLES, ids=[k for k, _ in ORACLES])
+def test_lazy_equals_naive_at_scale(kind, make):
+    for seed in range(3):
+        inst = family_instance(kind, seed, 63)
+        for policy in ("lowest", "highest", f"random:{seed}"):
+            naive = run_greedy(make(inst), tie_break=policy)
+            assert run_greedy(make(inst), tie_break=policy, lazy=True) == naive, \
+                (seed, policy)
+
+
+@pytest.mark.parametrize("kind,make", ORACLES, ids=[k for k, _ in ORACLES])
+def test_family_greedy_reads_only_empty_and_full_set(kind, make):
+    # both greedy variants read every marginal from the kept state: the
+    # subset function runs only for f(∅) and f(U)
+    for lazy in (False, True):
+        o = make(family_instance(kind, 4, 40))
+        calls = []
+        fn = o._fn
+        o._fn = lambda sub: calls.append(sub) or fn(sub)
+        run_greedy(o, lazy=lazy)
+        assert sorted(calls) == [0, (1 << 40) - 1], lazy
 
 
 def test_mest_gains_match_union_find():
@@ -191,8 +239,14 @@ def test_generic_gains_read_through_eval():
     assert o.gains(0) == [1, 1, 1]
     assert o.gains(0b001) == [0, 1, 1]
     assert o.gains(0b011) == [0, 0, 0]
+    assert [o.gain(0b001, j) for j in range(3)] == [0, 1, 1]
+    assert [o.gain(0b011, j) for j in range(3)] == [0, 0, 0]
     with pytest.raises(ValueError, match="outside the ground set"):
         o.gains(0b1000)
+    with pytest.raises(ValueError, match="outside the ground set"):
+        o.gain(0b1000, 0)
+    with pytest.raises(ValueError, match="outside the ground set"):
+        o.gain(0, 3)
 
 
 @pytest.mark.parametrize("kind,make", ORACLES, ids=[k for k, _ in ORACLES])

@@ -4,8 +4,8 @@ import unittest
 from entcover.core import check_polymatroid
 from entcover.greedy import run_greedy
 from entcover.instances import (GraphInstance, SetCoverInstance,
-                                complete_mest_solution, generate_random,
-                                hardness_gadget, mesc_oracle, meo_oracle,
+                                complete_mest_solution, find,
+                                generate_random, hardness_gadget, mesc_oracle, meo_oracle,
                                 mest_oracle, parse_instance,
                                 reduction_entropy_relation, serialize_instance)
 from mest_reference import rank_by_union_find
@@ -103,6 +103,23 @@ class InstanceValidation(unittest.TestCase):
     def test_neighbors(self):
         self.assertEqual(TRIANGLE.neighbors(0), (1, 2))
         self.assertTrue(TRIANGLE.is_connected())
+
+    def test_connectivity_matches_union_find(self):
+        # the flood fill over neighbour masks against a disjoint-set
+        # forest, on sparse random graphs that are often disconnected
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            edges = tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.2)
+            g = GraphInstance(n, edges)
+            parent = list(range(n))
+            for (u, v) in edges:
+                parent[find(parent, u)] = find(parent, v)
+            self.assertEqual(g.is_connected(),
+                             len({find(parent, v) for v in range(n)}) == 1, edges)
+            self.assertEqual(g.neighbor_masks(),
+                             [sum(1 << u for u in g.neighbors(v)) for v in range(n)])
 
 
 class Completion(unittest.TestCase):
