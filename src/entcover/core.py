@@ -95,6 +95,8 @@ class PolymatroidOracle:
     def gain(self, base: int, j: int) -> int:
         """The one marginal gain f(base + j) - f(base); 0 for j in base.
         Read through eval here; the family oracles override it too."""
+        if not 0 <= j < self.ground.m:
+            raise ValueError("subset mask outside the ground set")
         return self.eval(base | 1 << j) - self.eval(base)
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Tuple,
+from functools import cached_property
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING, Union)
 
 from .core import Cover, GroundSet, PolymatroidOracle
@@ -29,9 +30,23 @@ def find(parent: List[int], x: int) -> int:
     return x
 
 
+def _union(masks: Sequence[int], sub: int) -> int:
+    """The union of masks[v] over the vertices v in sub."""
+    out = 0
+    while sub:
+        low = sub & -sub
+        out |= masks[low.bit_length() - 1]
+        sub ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class SetCoverInstance:
-    """A family of m subsets covering the universe {0..n_elements-1}."""
+    """A family of m subsets covering the universe {0..n_elements-1}.
+
+    set_masks, the bitmask form that mesc_oracle reads, is derived on
+    first read and kept, so every oracle built from the instance shares
+    it; it takes no part in equality, hashing or repr."""
 
     n_elements: int
     sets: Tuple[frozenset, ...]
@@ -55,10 +70,21 @@ class SetCoverInstance:
     def m(self) -> int:
         return len(self.sets)
 
+    @cached_property
+    def set_masks(self) -> Tuple[int, ...]:
+        """set_masks[i] has bit e set for every element e of set i."""
+        bit = (1).__lshift__
+        return tuple([sum(map(bit, s)) for s in self.sets])
+
 
 @dataclass(frozen=True)
 class GraphInstance:
-    """Simple undirected graph; edges are sorted vertex pairs."""
+    """Simple undirected graph; edges are sorted vertex pairs.
+
+    The bitmask forms nbr_masks, incidence_masks and distance2_masks are
+    derived on first read and kept, so every oracle, connectivity test
+    and tree realisation built from the instance shares them; they take
+    no part in equality, hashing or repr."""
 
     n_vertices: int
     edges: Tuple[Edge, ...]
@@ -78,10 +104,35 @@ class GraphInstance:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
 
+    @cached_property
+    def nbr_masks(self) -> Tuple[int, ...]:
+        """nbr_masks[v] has bit u set for every edge (u, v)."""
+        nbr = [0] * self.n_vertices
+        for (u, v) in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
+
+    @cached_property
+    def incidence_masks(self) -> Tuple[int, ...]:
+        """incidence_masks[v] has bit i set for every edge edges[i] at v."""
+        inc = [0] * self.n_vertices
+        for i, (u, v) in enumerate(self.edges):
+            inc[u] |= 1 << i
+            inc[v] |= 1 << i
+        return tuple(inc)
+
+    @cached_property
+    def distance2_masks(self) -> Tuple[int, ...]:
+        """distance2_masks[v] has bit u set for every u within distance 2
+        of v, so v's own bit too once v has an edge."""
+        nbr = self.nbr_masks
+        return tuple(mk | _union(nbr, mk) for mk in nbr)
+
     def is_connected(self) -> bool:
         """A flood fill from vertex 0 over the neighbour masks reaches
         every vertex."""
-        nbr = self.neighbor_masks()
+        nbr = self.nbr_masks
         seen = frontier = 1
         while frontier:
             frontier = _union(nbr, frontier) & ~seen
@@ -89,16 +140,19 @@ class GraphInstance:
         return seen == (1 << self.n_vertices) - 1
 
     def neighbor_masks(self) -> List[int]:
-        """nbr[v] has bit u set for every edge (u, v)."""
-        nbr = [0] * self.n_vertices
-        for (u, v) in self.edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        return nbr
+        """A fresh list of the neighbour masks nbr_masks."""
+        return list(self.nbr_masks)
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        out = [b if a == v else a for (a, b) in self.edges if v in (a, b)]
-        return tuple(sorted(out))
+        if not 0 <= v < self.n_vertices:
+            raise ValueError(f"vertex {v} out of range")
+        out = []
+        rest = self.nbr_masks[v]
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -186,7 +240,7 @@ class _FamilyOracle(PolymatroidOracle):
         return self._gains()
 
     def gain(self, base: int, j: int) -> int:
-        if (base | 1 << j) >> self.ground.m:
+        if not 0 <= j < self.ground.m:
             raise ValueError("subset mask outside the ground set")
         self._at(base)
         return 0 if base >> j & 1 else self._gain(j)
@@ -196,7 +250,7 @@ class _CoverageOracle(_FamilyOracle):
     """f(S) = size of the union of masks[j] over j in S; the state is that
     union, and the gain of j is the part of masks[j] it leaves out."""
 
-    def __init__(self, masks: List[int]) -> None:
+    def __init__(self, masks: Sequence[int]) -> None:
         self._masks = masks
         super().__init__(GroundSet(len(masks)),
                          lambda sub: _union(masks, sub).bit_count())
@@ -217,32 +271,22 @@ class _CoverageOracle(_FamilyOracle):
 
 def mesc_oracle(inst: SetCoverInstance) -> PolymatroidOracle:
     """f(S) = number of universe elements covered by the union of chosen sets."""
-    masks = []
-    for s in inst.sets:
-        mk = 0
-        for e in s:
-            mk |= 1 << e
-        masks.append(mk)
-    return _CoverageOracle(masks)
+    return _CoverageOracle(inst.set_masks)
 
 
 def meo_oracle(inst: GraphInstance) -> PolymatroidOracle:
     """f(S) = number of edges with at least one endpoint in S."""
-    inc = [0] * inst.n_vertices
-    for i, (u, v) in enumerate(inst.edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    return _CoverageOracle(inc)
+    return _CoverageOracle(inst.incidence_masks)
 
 
 class _TreeOracle(_FamilyOracle):
-    """mest_oracle's rank and gains over the neighbour masks nbr.  The
-    state is S ∪ N(S) and the components of G²[S], each held as its
-    members and their distance-2 reach."""
+    """mest_oracle's rank and gains over the neighbour masks nbr and the
+    distance-2 masks near of the graph, which the oracle reads but does
+    not copy.  The state is S ∪ N(S) and the components of G²[S], each
+    held as its members and their distance-2 reach."""
 
-    def __init__(self, nbr: List[int]) -> None:
+    def __init__(self, nbr: Sequence[int], near: Sequence[int]) -> None:
         n = len(nbr)
-        near = [nbr[v] | _union(nbr, nbr[v]) for v in range(n)]
         self._nbr = nbr
         self._near = near
         self._closed = [nbr[v] | 1 << v for v in range(n)]
@@ -317,20 +361,14 @@ def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
     Adding j outside S covers the c_j vertices of N[j] outside S ∪ N(S)
     and fuses j with the t_j components of G²[S] within distance 2 of
     it, so its gain is c_j - 1 + t_j.
+
+    The neighbour and distance-2 masks are the instance's nbr_masks and
+    distance2_masks, derived once per instance; each oracle keeps its
+    own eval cache and chain state.
     """
     if not inst.is_connected():
         raise ValueError("spanning-tree oracle requires a connected graph")
-    return _TreeOracle(inst.neighbor_masks())
-
-
-def _union(masks: List[int], sub: int) -> int:
-    """The union of masks[v] over the vertices v in sub."""
-    out = 0
-    while sub:
-        low = sub & -sub
-        out |= masks[low.bit_length() - 1]
-        sub ^= low
-    return out
+    return _TreeOracle(inst.nbr_masks, inst.distance2_masks)
 
 
 def complete_mest_solution(inst: GraphInstance, trace: "GreedyTrace") -> TreeCoverSolution:
@@ -345,7 +383,7 @@ def complete_mest_solution(inst: GraphInstance, trace: "GreedyTrace") -> TreeCov
     not only a greedy one: exact_mest passes tight orders of optima.
     """
     n = inst.n_vertices
-    nbr = inst.neighbor_masks()
+    nbr = inst.nbr_masks
     parent = list(range(n))
     tree: List[Edge] = []
     charge: List[int] = []
@@ -497,7 +535,14 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
     elements.
     """
     if isinstance(data, bytes):
-        text = data.decode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the bytes before the bad one decode; "x" stands in for it,
+            # so splitlines counts the line it sits on
+            ln = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+            raise ValueError(f"line {ln}: byte 0x{data[exc.start]:02x} is not "
+                             f"UTF-8 text ({exc.reason})") from None
     else:
         text = data
     rows: List[Tuple[int, str]] = []

@@ -150,6 +150,15 @@ def test_malformed_file(tmp_path, capsys):
     assert "line" in err
 
 
+def test_undecodable_file_names_its_line(tmp_path, capsys):
+    p = tmp_path / "bad.graph"
+    p.write_bytes(b"graph 3 2\n0 1\n1 \xff2\n")
+    code, out, err = run(capsys, "greedy", str(p), "--kind", "mest")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: byte 0xff is not UTF-8 text (invalid start byte)\n"
+
+
 def test_missing_file(tmp_path, capsys):
     code, out, err = run(capsys, "greedy", str(tmp_path / "nope.mesc"))
     assert code == 2

@@ -196,6 +196,8 @@ def test_family_gains_match_eval(kind, make):
             o.gain(1 << m, 0)
         with pytest.raises(ValueError, match="outside the ground set"):
             o.gain(0, m)
+        with pytest.raises(ValueError, match="outside the ground set"):
+            o.gain(0, -1)
 
 
 @pytest.mark.parametrize("kind,make", ORACLES, ids=[k for k, _ in ORACLES])
@@ -247,6 +249,8 @@ def test_generic_gains_read_through_eval():
         o.gain(0b1000, 0)
     with pytest.raises(ValueError, match="outside the ground set"):
         o.gain(0, 3)
+    with pytest.raises(ValueError, match="outside the ground set"):
+        o.gain(0, -1)
 
 
 @pytest.mark.parametrize("kind,make", ORACLES, ids=[k for k, _ in ORACLES])

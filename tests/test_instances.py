@@ -1,8 +1,12 @@
 import random
 import unittest
+from dataclasses import astuple
+from functools import cached_property
+
+import pytest
 
 from entcover.core import check_polymatroid
-from entcover.greedy import run_greedy
+from entcover.greedy import coefficients, run_greedy
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 complete_mest_solution, find,
                                 generate_random, hardness_gadget, mesc_oracle, meo_oracle,
@@ -103,6 +107,9 @@ class InstanceValidation(unittest.TestCase):
     def test_neighbors(self):
         self.assertEqual(TRIANGLE.neighbors(0), (1, 2))
         self.assertTrue(TRIANGLE.is_connected())
+        for v in (-1, 3):
+            with self.assertRaisesRegex(ValueError, "out of range"):
+                TRIANGLE.neighbors(v)
 
     def test_connectivity_matches_union_find(self):
         # the flood fill over neighbour masks against a disjoint-set
@@ -118,8 +125,12 @@ class InstanceValidation(unittest.TestCase):
                 parent[find(parent, u)] = find(parent, v)
             self.assertEqual(g.is_connected(),
                              len({find(parent, v) for v in range(n)}) == 1, edges)
+            # both pinned to a scan of the edge list
+            scan = [tuple(sorted(b if a == v else a for (a, b) in edges if v in (a, b)))
+                    for v in range(n)]
+            self.assertEqual([g.neighbors(v) for v in range(n)], scan)
             self.assertEqual(g.neighbor_masks(),
-                             [sum(1 << u for u in g.neighbors(v)) for v in range(n)])
+                             [sum(1 << u for u in nb) for nb in scan])
 
 
 class Completion(unittest.TestCase):
@@ -232,6 +243,17 @@ class FileFormat(unittest.TestCase):
         with self.assertRaises(ValueError):
             parse_instance("mesc 1 2\n0\n")
 
+    def test_undecodable_bytes_carry_line_numbers(self):
+        cases = [
+            (b"\xff", r"^line 1: byte 0xff is not UTF-8 text"),
+            (b"graph 3 2\n0 1\n1 \xff2\n", r"^line 3: byte 0xff "),
+            (b"mesc 1 1\r\n# \xe2\x82\xac\r\n0\n\xfe\n", r"^line 4: byte 0xfe "),
+            (b"graph 2 1\n0 1 # \xc3\n", r"^line 2: byte 0xc3 "),
+        ]
+        for blob, pattern in cases:
+            with self.assertRaisesRegex(ValueError, pattern):
+                parse_instance(blob)
+
 
 class Generators(unittest.TestCase):
     def test_deterministic(self):
@@ -260,6 +282,126 @@ class Generators(unittest.TestCase):
     def test_unknown_kind(self):
         with self.assertRaises(ValueError):
             generate_random('tsp', 1)
+
+
+# ------------------------------------------------ derived bitmask forms
+
+GRAPH_MASKS = ("nbr_masks", "incidence_masks", "distance2_masks")
+
+
+def _mask_cases():
+    """Set-cover instances and graphs (random, disconnected, gadgets)."""
+    rng = random.Random(11)
+    sets = [SETS] + [generate_random("mesc", seed, m=1 + seed % 9, n=1 + seed % 13,
+                                     density=0.1 + 0.1 * (seed % 5))
+                     for seed in range(40)]
+    graphs = [TRIANGLE, GraphInstance(1, ()), GraphInstance(4, ((0, 1), (2, 3)))]
+    graphs += [generate_random(kind, seed, n_vertices=2 + seed % 11,
+                               extra_edge_prob=0.05 * (seed % 7))
+               for kind in ("meo", "mest") for seed in range(30)]
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        graphs.append(GraphInstance(n, tuple(
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15)))
+    graphs += [hardness_gadget(inst)[0] for inst in sets[:15]]
+    return sets, graphs
+
+
+def test_derived_masks_match_the_fields():
+    sets, graphs = _mask_cases()
+    for inst in sets:
+        want = [int("".join("1" if e in s else "0"
+                            for e in reversed(range(inst.n_elements))), 2)
+                for s in inst.sets]
+        assert inst.set_masks == tuple(want), inst
+        assert type(inst.set_masks) is tuple
+    for g in graphs:
+        n, edges = g.n_vertices, set(g.edges)
+        walk1 = [{u for u in range(n) if (min(u, v), max(u, v)) in edges}
+                 for v in range(n)]
+        walk2 = [walk1[v].union(*[walk1[w] for w in walk1[v]]) for v in range(n)]
+        want = {
+            "nbr_masks": [sum(1 << u for u in walk1[v]) for v in range(n)],
+            "incidence_masks": [sum(1 << i for i, e in enumerate(g.edges) if v in e)
+                                for v in range(n)],
+            # u within reach of v by a walk of one or two edges
+            "distance2_masks": [sum(1 << u for u in walk2[v]) for v in range(n)],
+        }
+        for name in GRAPH_MASKS:
+            got = getattr(g, name)
+            assert type(got) is tuple, name
+            assert got == tuple(want[name]), (name, g)
+        fresh = g.neighbor_masks()
+        assert isinstance(fresh, list) and fresh == want["nbr_masks"]
+        fresh.append(-1)
+        assert g.neighbor_masks() == want["nbr_masks"]
+
+
+def test_derived_masks_stay_out_of_eq_hash_and_repr():
+    sets, graphs = _mask_cases()
+    for inst in sets[:10] + graphs[::5]:
+        a, b = (type(inst)(*astuple(inst)) for _ in range(2))
+        text = repr(b)
+        for name in ("set_masks",) if isinstance(a, SetCoverInstance) else GRAPH_MASKS:
+            getattr(a, name)
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert repr(a) == text == repr(b)
+        assert len({a, b}) == 1
+
+
+def _count_derivations(monkeypatch, cls, name):
+    """Replace cls.name with a cached_property that records each derivation."""
+    calls = []
+    derive = cls.__dict__[name].func
+
+    def counted(self):
+        calls.append(self)
+        return derive(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
+class _ScanCounter(tuple):
+    """A tuple that counts the times it is iterated over."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("kind", ["mesc", "meo", "mest"])
+def test_one_instance_derives_each_mask_once(monkeypatch, kind):
+    # naive, lazy and coefficient oracles, connectivity and the tree
+    # realisation all read one derivation of each mask they use, and
+    # nothing else scans the sets or edges again
+    inst = generate_random(kind, 5, m=20, n=30, n_vertices=20, extra_edge_prob=0.2)
+    cls = type(inst)
+    size, field = astuple(inst)
+    field = _ScanCounter(field)
+    inst = cls(size, field)
+    field.scans = 0  # construction has validated it
+    names = ("set_masks",) if kind == "mesc" else GRAPH_MASKS
+    calls = {name: _count_derivations(monkeypatch, cls, name) for name in names}
+    make = {"mesc": mesc_oracle, "meo": meo_oracle, "mest": mest_oracle}[kind]
+    naive = run_greedy(make(inst))
+    assert run_greedy(make(inst), lazy=True) == naive
+    coefficients(make(inst), naive)
+    if kind != "mesc":
+        assert inst.is_connected()
+        inst.neighbors(0)
+    if kind == "mest":
+        complete_mest_solution(inst, naive)
+    used = {"mesc": {"set_masks"}, "meo": {"incidence_masks", "nbr_masks"},
+            "mest": {"nbr_masks", "distance2_masks"}}[kind]
+    assert {name: len(c) for name, c in calls.items()} == {
+        name: int(name in used) for name in names}
+    assert field.scans == len(used - {"distance2_masks"})
 
 
 if __name__ == "__main__":
