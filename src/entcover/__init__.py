@@ -11,8 +11,7 @@ from .exact import GUARD_MSG, GuardError, Optimum, exact_assignment_mesc, \
 from .flow import (BoundReport, FlowNetwork, FlowResult, approximation_bound,
                    build_alpha_network, check_assignment, extract_assignment,
                    max_flow, min_alpha)
-from .greedy import (CoefficientTable, GreedyTrace, coefficients, run_greedy,
-                     specialized_coefficients)
+from .greedy import CoefficientTable, GreedyTrace, coefficients, run_greedy
 from .instances import (GadgetRoles, GraphInstance, OrientationSolution,
                         SetCoverInstance, TreeCoverSolution,
                         complete_mest_solution, generate_random,
@@ -36,7 +35,6 @@ __all__ = [
     "reduction_entropy_relation", "serialize_instance", "parse_instance",
     "generate_random",
     "GreedyTrace", "CoefficientTable", "run_greedy", "coefficients",
-    "specialized_coefficients",
     "GUARD_MSG", "GuardError", "Optimum", "exact_cover",
     "exact_assignment_mesc", "exact_orientation", "exact_mest",
     "exact_mest_entropy",

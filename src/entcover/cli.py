@@ -29,7 +29,7 @@ from .core import (LOG2E, VALIDATE_MAX_M, PolymatroidOracle, entropy,
 from .certify import verify_beta_one
 from .exact import GuardError, exact_cover, exact_mest
 from .flow import approximation_bound, min_alpha
-from .greedy import coefficients, run_greedy
+from .greedy import _tie_key, coefficients, run_greedy
 from .instances import (GraphInstance, SetCoverInstance, generate_random,
                         hardness_gadget, mesc_oracle, meo_oracle, mest_oracle,
                         parse_instance, realise_cover,
@@ -236,7 +236,11 @@ def _batch_jobs(args):
                 yield name, lambda p=path: _load(p)
     else:
         lo, _, hi = args.seeds.partition(":")
-        first, last = int(lo), int(hi)
+        try:
+            first, last = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"--seeds expects A:B with integer seeds A <= B, "
+                             f"got '{args.seeds}'") from None
         if last < first:
             raise ValueError(f"empty seed range {args.seeds}")
         for seed in range(first, last + 1):
@@ -338,9 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tie_break(policy: str) -> None:
+    """Refuse a malformed --tie-break before any instance is read."""
+    try:
+        _tie_key(policy, 0)
+    except ValueError:
+        raise ValueError(f"--tie-break expects lowest, highest or random:SEED "
+                         f"with an integer SEED, got '{policy}'") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "tie_break" in args:
+            _check_tie_break(args.tie_break)
         return args.fn(args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -186,8 +186,8 @@ def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optio
     negative entry).  Cost is Theta(2^m), so ground sets larger than
     VALIDATE_MAX_M are refused.  entcover greedy runs it only when its
     cover does not match the linear-time realisation of
-    instances.realise_cover; the exact solvers run subset_violation on
-    the f-table they already hold.
+    instances.realise_cover.  The exact solvers check no optimum: on a
+    polymatroid each is a chain's vector, hence a valid cover.
     """
     m = oracle.m
     if len(cover.x) != m:

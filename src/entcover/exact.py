@@ -16,8 +16,9 @@ the optimum is the best chain through the subset lattice, found by the
 Held-Karp subset DP (Held & Karp 1962) in O(m 2^m) steps, whatever
 f(U) is.  Both facts need a polymatroid: the DP first checks the axioms
 on the f-table it reads, in O(m^2 2^m), and refuses any other set
-function with ValueError.  The size guard bounds the DP's work: m 2^m
-at most EXACT_MAX_WORK, that is m <= 16.
+function with ValueError.  On a polymatroid every chain's vector is a
+valid cover, so the optima are not checked again.  The size guard
+bounds the DP's work: m 2^m at most EXACT_MAX_WORK, that is m <= 16.
 
 Optima are selected by maximizing the integer weight prod x_j^{x_j},
 which orders covers exactly opposite to entropy for a fixed total, so
@@ -27,10 +28,11 @@ ties are resolved without floating-point comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .core import (Cover, PolymatroidOracle, entropy_from_weight,
-                   polymatroid_violation, subset_violation, weight_product)
+                   polymatroid_violation, weight_product)
 from .greedy import GreedyTrace
 from .instances import (Edge, GraphInstance, OrientationSolution,
                         SetCoverInstance, complete_mest_solution, find,
@@ -38,7 +40,8 @@ from .instances import (Edge, GraphInstance, OrientationSolution,
 
 GUARD_MSG = "instance too large for exact solver"
 EXACT_MAX_WORK = 1 << 20  # the subset DP's bound on m 2^m: m <= 16
-MEST_ENTROPY_MAX_VERTICES = 20  # exact_mest_entropy's guard
+MEST_ENTROPY_MAX_VERTICES = 20  # exact_mest_entropy's guard on its recursion
+MEST_ENTROPY_MAX_TREES = 8 ** 6  # and on its work, one DP per tree: K8's count
 
 
 class GuardError(ValueError):
@@ -81,8 +84,8 @@ def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
     best[U].  States on such chains are marked walking back from U;
     then each size layer of marked states carries its distinct partial
     vectors forward to the next, and the covers are those reaching U,
-    in ascending order.  Each is checked against the table as an
-    invariant; a violated subset raises RuntimeError.
+    in ascending order.  Each is a chain's greedy vector, a vertex of
+    the checked polymatroid's base polytope, so a valid cover as it is.
     """
     m = oracle.m
     total = oracle.total()
@@ -130,11 +133,6 @@ def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
     low = (1 << w) - 1
     covers = tuple(Cover(x) for x in sorted(
         tuple(v >> j * w & low for j in range(m)) for v in layer[full - 1]))
-    for cover in covers:
-        witness = subset_violation(f, cover.x)
-        if witness is not None:
-            raise RuntimeError(f"invariant broken: optimal cover {cover.x} "
-                               f"violates subset {witness}")
     return Optimum(entropy_from_weight(best[full - 1], total), covers), f
 
 
@@ -286,21 +284,12 @@ def _tight_order(f: List[int], x: Tuple[int, ...]) -> List[int]:
     return order
 
 
-_SELF_POW = [1]  # j^j with the 0^0 = 1 convention
-
-
-def _self_pow(j: int) -> int:
-    while len(_SELF_POW) <= j:
-        k = len(_SELF_POW)
-        _SELF_POW.append(k ** k)
-    return _SELF_POW[j]
-
-
-def _best_charge_weight(n: int, tree: List[Edge]) -> int:
-    """Max prod c_v^{c_v} over all charges of a FIXED tree, by dynamic
-    programming rooted at 0.  dp[v][j] = best product over v's subtree
-    with v's own factor excluded and j child edges charged into v."""
-    adj: Dict[int, List[int]] = {v: [] for v in range(n)}
+def _best_charge_weight(tree: List[Edge], self_pow: List[int]) -> int:
+    """Max prod c_v^{c_v} over all charges of a FIXED tree on the
+    vertices 0..len(tree), by dynamic programming rooted at 0, where
+    self_pow[j] = j^j.  dp[v][j] = best product over v's subtree with
+    v's own factor excluded and j child edges charged into v."""
+    adj: Dict[int, List[int]] = {v: [] for v in range(len(tree) + 1)}
     for (u, v) in tree:
         adj[u].append(v)
         adj[v].append(u)
@@ -312,27 +301,38 @@ def _best_charge_weight(n: int, tree: List[Edge]) -> int:
                 continue
             dpc = dfs(c, v)
             # edge (v,c) -> c: c's count = j+1; -> v: c's count = j
-            to_c = max(dpc[j] * _self_pow(j + 1) for j in range(len(dpc)))
-            to_v = max(dpc[j] * _self_pow(j) for j in range(len(dpc)))
-            ndp = [0] * (len(dp) + 1)
-            for j, val in enumerate(dp):
-                if val * to_c > ndp[j]:
-                    ndp[j] = val * to_c
-                if val * to_v > ndp[j + 1]:
-                    ndp[j + 1] = val * to_v
-            dp = ndp
+            to_c = max(map(mul, dpc, self_pow[1:]))
+            to_v = max(map(mul, dpc, self_pow))
+            dp = list(map(max, [d * to_c for d in dp] + [0],
+                          [0] + [d * to_v for d in dp]))
         return dp
 
-    droot = dfs(0, -1)
-    return max(droot[j] * _self_pow(j) for j in range(len(droot)))
+    return max(map(mul, dfs(0, -1), self_pow))
+
+
+def _spanning_tree_count(inst: GraphInstance) -> int:
+    """Spanning trees of a connected graph (matrix-tree theorem): the
+    determinant of its Laplacian less vertex 0, by exact Bareiss
+    elimination; each pivot is a positive leading principal minor."""
+    k = inst.n_vertices - 1
+    a = [[mk.bit_count() if i == j else -(mk >> j + 1 & 1) for j in range(k)]
+         for i, mk in enumerate(inst.nbr_masks[1:])]
+    prev = 1
+    for i in range(k - 1):
+        piv, top = a[i][i], a[i]
+        for row in a[i + 1:]:
+            row[i + 1:] = [(x * piv - row[i] * y) // prev
+                           for x, y in zip(row[i + 1:], top[i + 1:])]
+        prev = piv
+    return a[k - 1][k - 1] if k else 1
 
 
 def exact_mest_entropy(inst: GraphInstance) -> float:
     """Optimal tree-cover entropy only, by a route independent of the
     subset DP: every spanning tree, each charged optimally by a tree
-    DP.  It reaches past exact_mest's guard, to
-    MEST_ENTROPY_MAX_VERTICES vertices; the spanning-tree count is what
-    limits its size in practice."""
+    DP.  The guard bounds that work: it counts the trees first and
+    refuses more than MEST_ENTROPY_MAX_TREES (every graph on 8 vertices
+    passes) or more than MEST_ENTROPY_MAX_VERTICES vertices."""
     n = inst.n_vertices
     if n > MEST_ENTROPY_MAX_VERTICES:
         raise GuardError(GUARD_MSG)
@@ -340,10 +340,9 @@ def exact_mest_entropy(inst: GraphInstance) -> float:
         raise ValueError("spanning-tree optimum requires a connected graph")
     if n == 1:
         raise ValueError("degenerate polymatroid: f(U) = 0")
-    best_w = -1
-    for tree_idx in _spanning_trees(n, inst.edges):
-        tree = [inst.edges[i] for i in tree_idx]
-        w = _best_charge_weight(n, tree)
-        if w > best_w:
-            best_w = w
+    if _spanning_tree_count(inst) > MEST_ENTROPY_MAX_TREES:
+        raise GuardError(GUARD_MSG)
+    self_pow = [j ** j for j in range(n)]  # 0^0 = 1
+    best_w = max(_best_charge_weight([inst.edges[i] for i in tree], self_pow)
+                 for tree in _spanning_trees(n, inst.edges))
     return entropy_from_weight(best_w, n - 1)

@@ -40,6 +40,14 @@ def _union(masks: Sequence[int], sub: int) -> int:
     return out
 
 
+class _ItemError(ValueError):
+    """An instance constructor's refusal of set or edge number item."""
+
+    def __init__(self, item: int, message: str) -> None:
+        super().__init__(message)
+        self.item = item
+
+
 @dataclass(frozen=True)
 class SetCoverInstance:
     """A family of m subsets covering the universe {0..n_elements-1}.
@@ -52,18 +60,19 @@ class SetCoverInstance:
     sets: Tuple[frozenset, ...]
 
     def __post_init__(self) -> None:
-        if self.n_elements < 1:
-            raise ValueError("universe must be nonempty")
+        n = self.n_elements
         covered = set()
         for i, s in enumerate(self.sets):
             if not s:
-                raise ValueError(f"set {i} is empty")
+                raise _ItemError(i, "empty set")
             for e in s:
-                if not 0 <= e < self.n_elements:
-                    raise ValueError(f"set {i} contains out-of-range element {e}")
+                if not 0 <= e < n:
+                    raise _ItemError(i, f"element {e} out of range 0..{n - 1}")
             covered |= s
-        if len(covered) != self.n_elements:
-            missing = sorted(set(range(self.n_elements)) - covered)
+        if n < 1:
+            raise ValueError("universe must be nonempty")
+        if len(covered) != n:
+            missing = sorted(set(range(n)) - covered)
             raise ValueError(f"elements not covered by any set: {missing}")
 
     @property
@@ -90,19 +99,20 @@ class GraphInstance:
     edges: Tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 1:
-            raise ValueError("graph must have at least one vertex")
+        n = self.n_vertices
         seen = set()
-        for (u, v) in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise _ItemError(i, f"self-loop at {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise _ItemError(i, f"vertex out of range 0..{n - 1}")
             if u > v:
-                raise ValueError(f"edge ({u},{v}) not in sorted order")
+                raise _ItemError(i, f"edge ({u}, {v}) not in sorted order")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise _ItemError(i, f"duplicate edge ({u}, {v})")
             seen.add((u, v))
+        if n < 1:
+            raise ValueError("graph must have at least one vertex")
 
     @cached_property
     def nbr_masks(self) -> Tuple[int, ...]:
@@ -531,8 +541,10 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
     """Parse the line-oriented instance format; '#' starts a comment.
 
     Raises ValueError mentioning the 1-based line number on malformed
-    input, including instance-invariant violations like uncovered
-    elements.
+    input.  The parser checks the text and leaves each set and edge to
+    the instance constructor, so of several faults it names a text
+    fault first, in file order, then the first refused set in file
+    order or edge in sorted order.
     """
     if isinstance(data, bytes):
         try:
@@ -554,42 +566,31 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
         raise ValueError("line 1: empty instance file")
     hdr_ln, hdr = rows[0]
     parts = hdr.split()
-    if parts[0] == "mesc":
-        if len(parts) != 3:
-            raise ValueError(f"line {hdr_ln}: expected 'mesc m n'")
-        try:
-            m, n = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"line {hdr_ln}: non-integer header fields") from None
-        if len(rows) - 1 != m:
-            raise ValueError(f"line {hdr_ln}: expected {m} set lines, found {len(rows) - 1}")
-        sets: List[frozenset] = []
+    forms = {"mesc": "mesc m n", "graph": "graph n_vertices n_edges"}
+    if parts[0] not in forms:
+        raise ValueError(f"line {hdr_ln}: unknown header '{parts[0]}' (want 'mesc' or 'graph')")
+    if len(parts) != 3:
+        raise ValueError(f"line {hdr_ln}: expected '{forms[parts[0]]}'")
+    try:
+        first, second = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"line {hdr_ln}: non-integer header fields") from None
+    mesc = parts[0] == "mesc"
+    size, count = (second, first) if mesc else (first, second)
+    if len(rows) - 1 != count:
+        raise ValueError(f"line {hdr_ln}: expected {count} {'set' if mesc else 'edge'} "
+                         f"lines, found {len(rows) - 1}")
+    # the constructor checks every set or edge; lines[i] is item i's line
+    if mesc:
+        cls, items = SetCoverInstance, []
         for ln, body in rows[1:]:
             try:
-                elems = frozenset(int(t) for t in body.split())
+                items.append(frozenset(map(int, body.split())))
             except ValueError:
                 raise ValueError(f"line {ln}: non-integer element index") from None
-            for e in elems:
-                if not 0 <= e < n:
-                    raise ValueError(f"line {ln}: element {e} out of range 0..{n - 1}")
-            if not elems:
-                raise ValueError(f"line {ln}: empty set")
-            sets.append(elems)
-        try:
-            return SetCoverInstance(n, tuple(sets))
-        except ValueError as exc:
-            raise ValueError(f"line {hdr_ln}: {exc}") from None
-    elif parts[0] == "graph":
-        if len(parts) != 3:
-            raise ValueError(f"line {hdr_ln}: expected 'graph n_vertices n_edges'")
-        try:
-            nv, ne = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"line {hdr_ln}: non-integer header fields") from None
-        if len(rows) - 1 != ne:
-            raise ValueError(f"line {hdr_ln}: expected {ne} edge lines, found {len(rows) - 1}")
-        edges: List[Edge] = []
-        seen: set = set()
+        lines = [ln for ln, _ in rows[1:]]
+    else:
+        cls, pairs = GraphInstance, []
         for ln, body in rows[1:]:
             toks = body.split()
             if len(toks) != 2:
@@ -598,20 +599,16 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
                 u, v = int(toks[0]), int(toks[1])
             except ValueError:
                 raise ValueError(f"line {ln}: non-integer vertex") from None
-            if u == v:
-                raise ValueError(f"line {ln}: self-loop at {u}")
-            if not (0 <= u < nv and 0 <= v < nv):
-                raise ValueError(f"line {ln}: vertex out of range 0..{nv - 1}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"line {ln}: duplicate edge {e}")
-            seen.add(e)
-            edges.append(e)
-        try:
-            return GraphInstance(nv, tuple(sorted(edges)))
-        except ValueError as exc:
-            raise ValueError(f"line {hdr_ln}: {exc}") from None
-    raise ValueError(f"line {hdr_ln}: unknown header '{parts[0]}' (want 'mesc' or 'graph')")
+            pairs.append(((u, v) if u < v else (v, u), ln))
+        pairs.sort()  # by edge; equal edges keep their file order
+        items = [e for e, _ in pairs]
+        lines = [ln for _, ln in pairs]
+    try:
+        return cls(size, tuple(items))
+    except _ItemError as exc:
+        raise ValueError(f"line {lines[exc.item]}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"line {hdr_ln}: {exc}") from None
 
 
 # -------------------------------------------------------------- generators

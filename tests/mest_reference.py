@@ -32,8 +32,9 @@ def mest_by_tree_enumeration(inst):
     ne = n - 1
     best_w = -1
     best_trees = []
+    self_pow = [j ** j for j in range(n)]
     for tree_idx in _spanning_trees(n, inst.edges):
-        w = _best_charge_weight(n, [inst.edges[i] for i in tree_idx])
+        w = _best_charge_weight([inst.edges[i] for i in tree_idx], self_pow)
         if w > best_w:
             best_w, best_trees = w, [tree_idx]
         elif w == best_w:

@@ -10,15 +10,16 @@ import time
 from fractions import Fraction
 
 from conftest import beta_certificate, record_acceptance
+from greedy_reference import specialized_coefficients
 from mest_reference import mest_by_tree_enumeration
 
 from entcover.core import (LOG2E, check_polymatroid, entropy,
-                           entropy_from_weight, weight_product)
+                           entropy_from_weight, subset_violation,
+                           weight_product)
 from entcover.exact import (GuardError, exact_assignment_mesc, exact_cover,
                             exact_mest_entropy, exact_orientation)
 from entcover.flow import approximation_bound, min_alpha
-from entcover.greedy import (coefficients, run_greedy,
-                             specialized_coefficients)
+from entcover.greedy import coefficients, run_greedy
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 generate_random, hardness_gadget, mesc_oracle,
                                 meo_oracle, mest_oracle,
@@ -122,6 +123,10 @@ def test_criterion_3_alpha_bound():
         except GuardError:
             skipped += 1
             continue
+        # the DP returns its optima unchecked: check each against f here
+        table = [o.eval(mask) for mask in range(1 << o.m)]
+        assert all(subset_violation(table, c.x) is None
+                   for c in opt.covers), (kind, inst)
         a = min_alpha(trace, opt.covers, coefficients(o, trace))
         rep = approximation_bound(entropy(trace.cover), opt.entropy, a,
                                   o.total(), tol=1e-9)

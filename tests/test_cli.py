@@ -365,6 +365,26 @@ def test_batch_seeds_need_kind(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seeds", ["5", "a:b"])
+def test_batch_malformed_seeds_name_the_flag(capsys, seeds):
+    code, out, err = run(capsys, "batch", "--seeds", seeds, "--kind", "meo")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --seeds expects A:B with integer seeds A <= B, "
+                   f"got '{seeds}'\n")
+
+
+@pytest.mark.parametrize("command", ["greedy", "verify", "batch"])
+def test_malformed_tie_break_names_the_flag(tmp_path, capsys, command):
+    f = write(tmp_path, "a.mesc", MESC)
+    where = ["--dir", str(tmp_path)] if command == "batch" else [f]
+    code, out, err = run(capsys, command, *where, "--tie-break", "random:abc")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --tie-break expects lowest, highest or random:SEED "
+                   "with an integer SEED, got 'random:abc'\n")
+
+
 def test_batch_seeds_in_seed_order(capsys):
     code, out, _ = run(capsys, "batch", "--seeds", "9999:10000", "--kind",
                        "meo", "--json")

@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from entcover import exact
 from entcover.core import (Cover, GroundSet, PolymatroidOracle,
                            check_polymatroid, entropy_from_weight,
-                           validate_cover, weight_product)
+                           subset_violation, validate_cover, weight_product)
 from entcover.exact import (GUARD_MSG, GuardError, exact_assignment_mesc,
                             exact_cover, exact_mest, exact_mest_entropy,
                             exact_orientation)
@@ -25,6 +26,14 @@ PATH21 = GraphInstance(21, tuple((i, i + 1) for i in range(20)))
 
 def xs(opt):
     return tuple(c.x for c in opt.covers)
+
+
+def assert_valid_covers(oracle, opt):
+    """Every optimum respects f on every subset: the DP returns them
+    unchecked, since a polymatroid's chain vectors are valid covers."""
+    table = [oracle.eval(mask) for mask in range(1 << oracle.m)]
+    for c in opt.covers:
+        assert subset_violation(table, c.x) is None, c.x
 
 
 def test_set_cover_optimum():
@@ -175,6 +184,7 @@ def test_dp_matches_reference_enumerator():
             opt, ref = exact_cover(o), optimal_covers(o)
             assert xs(opt) == xs(ref), (seed, o.m)
             assert opt.entropy == ref.entropy, (seed, o.m)
+            assert_valid_covers(o, opt)
             count += 1
     assert count == 600
 
@@ -184,17 +194,13 @@ def test_many_optima_at_sixteen_sets():
     # whole to either set, so the optima are all 2^8 such choices
     inst = SetCoverInstance(16, tuple(frozenset({2 * (i // 2), 2 * (i // 2) + 1})
                                       for i in range(16)))
-    opt = exact_cover(mesc_oracle(inst))
+    o = mesc_oracle(inst)
+    opt = exact_cover(o)
     expect = sorted(sum(choice, ()) for choice in
                     itertools.product(((0, 2), (2, 0)), repeat=8))
     assert xs(opt) == tuple(expect)
     assert opt.entropy == pytest.approx(3.0, abs=1e-12)
-
-
-def test_invalid_optimum_is_internal_error(monkeypatch):
-    monkeypatch.setattr(exact, "subset_violation", lambda table, x: 1)
-    with pytest.raises(RuntimeError, match="invariant broken"):
-        exact_cover(mesc_oracle(SETS))
+    assert_valid_covers(o, opt)
 
 
 def test_degenerate_total():
@@ -344,6 +350,28 @@ def test_mest_entropy_shortcut():
     assert exact_mest_entropy(star12) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(GuardError, match=GUARD_MSG):
         exact_mest_entropy(PATH21)
+
+
+def complete_graph(n):
+    return GraphInstance(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def test_mest_entropy_guard_counts_spanning_trees():
+    # the guard bounds the work, one tree DP per spanning tree: K9 has
+    # 9^7 trees and is refused at once, K8's 8^6 are all enumerated
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError, match=GUARD_MSG):
+        exact_mest_entropy(complete_graph(9))
+    assert time.perf_counter() - t0 < 1.0
+    assert exact_mest_entropy(complete_graph(8)) == 0.0
+    # the count is the matrix-tree determinant, exact on every graph
+    assert [exact._spanning_tree_count(complete_graph(n)) for n in range(1, 10)] \
+        == [1] + [n ** (n - 2) for n in range(2, 10)]
+    for seed in range(60):
+        g = generate_random('mest', seed, n_vertices=2 + seed % 7,
+                            extra_edge_prob=0.1 * (seed % 6))
+        assert exact._spanning_tree_count(g) == \
+            sum(1 for _ in exact._spanning_trees(g.n_vertices, g.edges)), seed
 
 
 def test_greedy_never_beats_exact():

@@ -1,0 +1,11 @@
+import entcover
+
+
+def test_star_import_resolves_every_export():
+    # an export that outlives its function fails here, not at a user's import
+    names = {}
+    exec("from entcover import *", names)
+    assert len(entcover.__all__) == len(set(entcover.__all__))
+    for name in entcover.__all__:
+        assert names[name] is getattr(entcover, name), name
+    assert "specialized_coefficients" not in entcover.__all__

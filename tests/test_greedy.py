@@ -3,12 +3,11 @@ import random
 import pytest
 
 from entcover.core import GroundSet, PolymatroidOracle, entropy, validate_cover
-from entcover.greedy import (GreedyTrace, coefficients, run_greedy,
-                             specialized_coefficients)
+from entcover.greedy import GreedyTrace, coefficients, run_greedy
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 generate_random, mesc_oracle, meo_oracle,
                                 mest_oracle, realise_cover)
-from greedy_reference import coefficients_by_eval
+from greedy_reference import coefficients_by_eval, specialized_coefficients
 from mest_reference import rank_by_union_find
 
 SETS = SetCoverInstance(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({2})))

@@ -1,4 +1,5 @@
 import random
+import re
 import unittest
 from dataclasses import astuple
 from functools import cached_property
@@ -253,6 +254,48 @@ class FileFormat(unittest.TestCase):
         for blob, pattern in cases:
             with self.assertRaisesRegex(ValueError, pattern):
                 parse_instance(blob)
+
+
+# One file per message parse_instance gives, each with a single fault.
+PARSE_FAULTS = [
+    (b"graph 2 1\n0 \xff1\n", "line 2: byte 0xff is not UTF-8 text (invalid start byte)"),
+    (b"", "line 1: empty instance file"),
+    (b"# only a comment\n\n", "line 1: empty instance file"),
+    (b"maze 1 1\n0\n", "line 1: unknown header 'maze' (want 'mesc' or 'graph')"),
+    (b"mesc 2\n0\n1\n", "line 1: expected 'mesc m n'"),
+    (b"mesc 2 x\n0\n1\n", "line 1: non-integer header fields"),
+    (b"mesc 2 2\n0 1\n", "line 1: expected 2 set lines, found 1"),
+    (b"mesc 2 2\n0 1\nx\n", "line 3: non-integer element index"),
+    (b"# sets\nmesc 2 3\n0 1\n\n2 9\n", "line 5: element 9 out of range 0..2"),
+    (b"mesc 2 3\n0 -1 1\n2\n", "line 2: element -1 out of range 0..2"),
+    (b"mesc 1 0\n0\n", "line 2: element 0 out of range 0..-1"),
+    (b"mesc 0 0\n", "line 1: universe must be nonempty"),
+    (b"mesc 1 2\n0\n", "line 1: elements not covered by any set: [1]"),
+    (b"graph 3\n0 1\n", "line 1: expected 'graph n_vertices n_edges'"),
+    (b"graph 3 one\n0 1\n", "line 1: non-integer header fields"),
+    (b"graph 3 2\n0 1\n", "line 1: expected 2 edge lines, found 1"),
+    (b"graph 3 1\n0 1 2\n", "line 2: expected 'u v'"),
+    (b"graph 3 1\n0 b\n", "line 2: non-integer vertex"),
+    (b"graph 4 3\n0 1\n3 3\n1 2\n", "line 3: self-loop at 3"),
+    (b"graph 7 2\n0 1\n7 2\n", "line 3: vertex out of range 0..6"),
+    (b"graph 7 2\n0 1\n-1 2\n", "line 3: vertex out of range 0..6"),
+    (b"graph 31 3\n12 30\n0 1\n30 12\n", "line 4: duplicate edge (12, 30)"),
+    (b"graph 0 1\n0 1\n", "line 2: vertex out of range 0..-1"),
+    (b"graph 0 0\n", "line 1: graph must have at least one vertex"),
+]
+
+
+@pytest.mark.parametrize("blob, message", PARSE_FAULTS)
+def test_parse_fault_table(blob, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_instance(blob)
+
+
+def test_two_edge_faults_name_the_first_in_sorted_order():
+    # the out-of-range edge comes first in the file, the self-loop first
+    # in sorted edge order, which is where GraphInstance checks them
+    with pytest.raises(ValueError, match=r"^line 3: self-loop at 1$"):
+        parse_instance("graph 4 2\n3 9\n1 1\n")
 
 
 class Generators(unittest.TestCase):
