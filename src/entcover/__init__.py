@@ -3,18 +3,17 @@ trace, exact desk-scale optima, flow-based covering coefficients, and a
 constructive spanning-tree certificate.
 """
 
-from .core import (LOG2E, Cover, Distribution, GroundSet, PolymatroidOracle,
-                   check_polymatroid, entropy, entropy_from_weight,
-                   popcount, validate_cover, weight_product)
+from .core import (LOG2E, Cover, GroundSet, PolymatroidOracle,
+                   check_polymatroid, entropy, entropy_from_weight, popcount,
+                   validate_cover, weight_product)
 from .exact import GUARD_MSG, GuardError, Optimum, exact_assignment_mesc, \
     exact_cover, exact_mest, exact_mest_entropy, exact_orientation
 from .flow import (BoundReport, FlowNetwork, FlowResult, approximation_bound,
                    build_alpha_network, check_assignment, extract_assignment,
                    max_flow, min_alpha)
 from .greedy import CoefficientTable, GreedyTrace, coefficients, run_greedy
-from .instances import (GadgetRoles, GraphInstance, OrientationSolution,
-                        SetCoverInstance, TreeCoverSolution,
-                        complete_mest_solution, generate_random,
+from .instances import (GadgetRoles, GraphInstance, SetCoverInstance,
+                        TreeCoverSolution, complete_mest_solution, generate_random,
                         hardness_gadget, mesc_oracle, meo_oracle, mest_oracle,
                         parse_instance, realise_cover,
                         reduction_entropy_relation, serialize_instance)
@@ -25,13 +24,12 @@ from .certify import (MultiLevelFlow, PathOrdering, TreeMove, apply_move,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LOG2E", "GroundSet", "PolymatroidOracle", "Cover", "Distribution",
-    "entropy", "entropy_from_weight", "weight_product", "popcount",
-    "validate_cover", "check_polymatroid",
-    "SetCoverInstance", "GraphInstance", "OrientationSolution",
-    "TreeCoverSolution", "GadgetRoles", "mesc_oracle", "meo_oracle",
-    "mest_oracle", "complete_mest_solution", "realise_cover",
-    "hardness_gadget",
+    "LOG2E", "GroundSet", "PolymatroidOracle", "Cover", "entropy",
+    "entropy_from_weight", "weight_product", "popcount", "validate_cover",
+    "check_polymatroid",
+    "SetCoverInstance", "GraphInstance", "TreeCoverSolution", "GadgetRoles",
+    "mesc_oracle", "meo_oracle", "mest_oracle", "complete_mest_solution",
+    "realise_cover", "hardness_gadget",
     "reduction_entropy_relation", "serialize_instance", "parse_instance",
     "generate_random",
     "GreedyTrace", "CoefficientTable", "run_greedy", "coefficients",

@@ -23,10 +23,12 @@ outside the current tree with a tree edge on its tree path (exactly the
 tree edges whose cut it crosses) and a direction.  Alternatives that
 route fewer units across a zero coefficient-table capacity (between two
 greedy-chosen vertices) come first; capacity is a preference, not a
-gate.  A schedule is accepted when its transitions decompose into unit
-paths that each end no higher in greedy rank than they started AND
-satisfy the per-source admissibility chain (a backtracking search).
-The first schedule succeeds on most instances.
+gate.  A backtracking search then gives each transition to one unit of
+charge, and the schedule is accepted with the first flow that passes
+_endpoint_checks, the one check of the flow's endpoint rules that
+verify_beta_one also reports: admissibility, bias, final loads and the
+first and last levels.  The first schedule and the first candidate flow
+succeed on most instances.
 
 verify_beta_one checks the certificate on the greedy trace, optimum and
 coefficient table the verify pipeline already holds; it computes none of
@@ -35,13 +37,15 @@ them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import le
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import Optimum
 from .greedy import CoefficientTable, GreedyTrace
 from .instances import (Edge, GraphInstance, TreeCoverSolution,
-                        complete_mest_solution, find)
+                        complete_mest_solution, is_spanning_tree)
 
 Arc = Tuple[int, int]
 
@@ -102,18 +106,6 @@ def apply_move(tree: Dict[Edge, int], move: TreeMove,
     del out[e_bc]
     out[e_ab] = a  # rotation to (a,b) charged b, then reversal toward a
     return out
-
-
-def is_spanning_tree(n: int, edges: Sequence[Edge]) -> bool:
-    if len(edges) != n - 1:
-        return False
-    parent = list(range(n))
-    for (u, v) in edges:
-        ru, rv = find(parent, u), find(parent, v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
 
 
 @dataclass(frozen=True)
@@ -215,12 +207,9 @@ def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int],
     moves: List[TreeMove] = []
     arcs: List[Arc] = []
 
-    def cap_ok(u: int, w: int) -> bool:
-        if u == w:
-            return True
-        if rank[u] <= n_chosen and rank[w] <= n_chosen:
-            return coeffs.a[rank[w] - 1][u] >= 1
-        return True  # transitions touching an unchosen vertex are unbounded
+    def blocked(u: int, w: int) -> bool:
+        cap = _capacity(u, w, rank, coeffs, n_chosen)
+        return cap is not None and cap < 1
 
     def do_reversal(e: Edge, to: int) -> None:
         frm = cur[e]
@@ -240,8 +229,8 @@ def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int],
     def penalty(path: List[int], s: int) -> int:
         # transitions the cascade would route across a zero capacity; each
         # sliding's edge {b,c} is an untouched edge of the current tree
-        return sum((cur[_edge_key(b, c)] == c and not cap_ok(c, b))
-                   + (not cap_ok(b, a)) for a, b, c in _cascade(path, s))
+        return sum((cur[_edge_key(b, c)] == c and blocked(c, b))
+                   + blocked(b, a) for a, b, c in _cascade(path, s))
 
     while set(cur) != set(tg):
         cand = sorted((e for e in cur if e not in tg),
@@ -286,67 +275,92 @@ def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int],
     return moves, arcs
 
 
-def _decompose(n: int, x0: Sequence[int], gamma: Sequence[int],
-               arcs: Sequence[Arc], rank: Sequence[int]
-               ) -> Optional[List[List[int]]]:
-    """Assign each transition to one unit so that endpoints are biased
-    and the per-source admissibility chain holds; returns one trajectory
-    (vertex per level) per unit, or None."""
-    units: List[int] = []
-    for v in range(n):
-        units.extend([v] * x0[v])
-    nu = len(units)
-    pos = list(units)
-    takers: List[int] = [-1] * len(arcs)
+def _capacity(u: int, w: int, rank: Sequence[int], coeffs: CoefficientTable,
+              n_chosen: int) -> Optional[int]:
+    """The coefficient a_{rank(w)}^u that bounds the transitions u -> w,
+    or None when they are unbounded: u = w, or a transition touching an
+    unchosen vertex, which has no greedy step to charge against."""
+    if u == w or rank[u] > n_chosen or rank[w] > n_chosen:
+        return None
+    return coeffs.a[rank[w] - 1][u]
 
-    def endpoint_ok() -> bool:
+
+def _endpoint_checks(flow: MultiLevelFlow, x0: Tuple[int, ...],
+                     gamma: Tuple[int, ...], rank: Sequence[int]) -> dict:
+    """The flow's endpoint rules, under the report fields that name
+    them: admissibility under the canonical ordering (and the first
+    violating path), bias (no path ends higher in greedy rank than it
+    starts), final loads within gamma, and first and last levels equal
+    to x0 and gamma."""
+    admissible, violating = check_admissible(
+        flow, PathOrdering.canonical(flow, rank), gamma)
+    loads = [0] * len(gamma)
+    for p in flow.paths:
+        loads[p[-1]] += 1
+    return {"admissible": admissible, "violating_path": violating,
+            "endpoints_biased": all(rank[p[0]] >= rank[p[-1]]
+                                    for p in flow.paths),
+            "per_node_loads_ok": all(map(le, loads, gamma)),
+            "level_endpoints_ok": (flow.levels[0] == x0
+                                   and flow.levels[-1] == gamma)}
+
+
+def _endpoints_pass(checks: dict) -> bool:
+    return all(checks[k] for k in ("admissible", "endpoints_biased",
+                                   "per_node_loads_ok", "level_endpoints_ok"))
+
+
+def _replay(n: int, units: Sequence[int], arcs: Sequence[Arc],
+            takers: Sequence[int]) -> MultiLevelFlow:
+    """The flow in which unit takers[t] makes transition t; a unit
+    starts at units[i], and a transition u -> u moves no unit."""
+    cur = list(units)
+    paths = [[u] for u in units]
+    for t, (src, dst) in enumerate(arcs):
+        if src != dst:
+            cur[takers[t]] = dst
+        for p, v in zip(paths, cur):
+            p.append(v)
+    levels = []
+    for t in range(len(arcs) + 1):
         cnt = [0] * n
-        for p in pos:
-            cnt[p] += 1
-        if cnt != list(gamma):
-            return False
-        if any(rank[units[i]] < rank[pos[i]] for i in range(nu)):
-            return False
-        by: Dict[int, List[int]] = {}
-        for i in range(nu):
-            if units[i] != pos[i]:
-                by.setdefault(units[i], []).append(pos[i])
-        for s, terms in by.items():
-            terms.sort(key=lambda t: rank[t])
-            for i, t in enumerate(terms):
-                if x0[s] - i > gamma[t]:
-                    return False
-        return True
+        for p in paths:
+            cnt[p[t]] += 1
+        levels.append(tuple(cnt))
+    return MultiLevelFlow(len(arcs), tuple(levels),
+                          tuple(map(tuple, paths)), tuple(arcs))
 
-    def rec(t: int) -> bool:
+
+def _decompose(n: int, x0: Tuple[int, ...], gamma: Tuple[int, ...],
+               arcs: Sequence[Arc], rank: Sequence[int]
+               ) -> Optional[MultiLevelFlow]:
+    """The first flow, by backtracking over which unit takes each
+    transition, that passes _endpoint_checks; None if none does."""
+    units = [v for v in range(n) for _ in range(x0[v])]
+    pos = list(units)
+    takers = [-1] * len(arcs)
+
+    def rec(t: int) -> Optional[MultiLevelFlow]:
         if t == len(arcs):
-            return endpoint_ok()
+            flow = _replay(n, units, arcs, takers)
+            return flow if _endpoints_pass(
+                _endpoint_checks(flow, x0, gamma, rank)) else None
         src, dst = arcs[t]
         if src == dst:
             return rec(t + 1)
         tried = set()
-        for i in range(nu):
-            if pos[i] == src and units[i] not in tried:
+        for i, p in enumerate(pos):
+            if p == src and units[i] not in tried:
                 tried.add(units[i])
                 pos[i] = dst
                 takers[t] = i
-                if rec(t + 1):
-                    return True
+                flow = rec(t + 1)
+                if flow is not None:
+                    return flow
                 pos[i] = src
-        takers[t] = -1
-        return False
-
-    if not rec(0):
         return None
-    # replay to record full trajectories
-    traj = [[u] for u in units]
-    cur = list(units)
-    for t, (src, dst) in enumerate(arcs):
-        if src != dst:
-            cur[takers[t]] = dst
-        for i in range(nu):
-            traj[i].append(cur[i])
-    return traj
+
+    return rec(0)
 
 
 def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
@@ -354,7 +368,7 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
                    coeffs: CoefficientTable
                    ) -> Tuple[Tuple[TreeMove, ...], MultiLevelFlow]:
     """Find a move schedule from the optimal tree to the greedy tree whose
-    induced multi-level flow has biased, admissible unit paths.
+    induced multi-level flow passes _endpoint_checks.
 
     ``trace`` is the greedy run that charged ``greedy_sol`` and ``coeffs``
     its coefficient table, which orders the schedule's choices.  Raises
@@ -363,49 +377,29 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
     """
     if greedy_sol.charge_vector() != trace.cover.x:
         raise ValueError("greedy solution charges disagree with the greedy trace")
-    n = inst.n_vertices
-    t1 = opt.as_dict()
-    tg = greedy_sol.as_dict()
-    gamma = trace.cover.x
-    x0 = opt.charge_vector()
-    rank = trace.rank
-
+    t1, tg, x0 = opt.as_dict(), greedy_sol.as_dict(), opt.charge_vector()
     choices = _Choices()
     for _ in range(SCHEDULE_ATTEMPTS):
         choices.reset()
-        moves, arcs = _schedule_once(t1, tg, rank, coeffs, trace.length, choices)
-        traj = _decompose(n, x0, gamma, arcs, rank)
-        if traj is not None or not choices.advance():
+        moves, arcs = _schedule_once(t1, tg, trace.rank, coeffs, trace.length,
+                                     choices)
+        flow = _decompose(inst.n_vertices, x0, trace.cover.x, arcs, trace.rank)
+        if flow is not None or not choices.advance():
             break
-    if traj is None:
+    if flow is None:
         raise LookupError("no certifiable schedule found")
-
-    q = len(arcs)
-    levels = []
-    for t in range(q + 1):
-        cnt = [0] * n
-        for tr in traj:
-            cnt[tr[t]] += 1
-        levels.append(tuple(cnt))
-    flow = MultiLevelFlow(q, tuple(levels), tuple(tuple(tr) for tr in traj),
-                          tuple(arcs))
     return tuple(moves), flow
 
 
 def flow_respects_capacities(flow: MultiLevelFlow, coeffs: CoefficientTable,
                              rank: Sequence[int], n_chosen: int) -> bool:
-    """Cumulative flow on distinct-index transitions into a chosen vertex
-    w, from a chosen vertex u, within the coefficient a_{rank(w)}^u.
-    Moves touching an unchosen vertex have no greedy step to charge
-    against, so they are unconstrained."""
-    used: Dict[Arc, int] = {}
-    for (u, w) in flow.arcs:
-        if u != w:
-            used[(u, w)] = used.get((u, w), 0) + 1
-    for (u, w), cnt in used.items():
-        if rank[u] <= n_chosen and rank[w] <= n_chosen:
-            if cnt > coeffs.a[rank[w] - 1][u]:
-                return False
+    """Cumulative flow on each transition within its _capacity: from a
+    chosen vertex u to a distinct chosen vertex w, the coefficient
+    a_{rank(w)}^u."""
+    for (u, w), used in Counter(flow.arcs).items():
+        cap = _capacity(u, w, rank, coeffs, n_chosen)
+        if cap is not None and used > cap:
+            return False
     return True
 
 
@@ -448,28 +442,23 @@ def verify_beta_one(inst: GraphInstance, trace: GreedyTrace, opt: Optimum,
     tg_edges = set(greedy_sol.tree_edges)
     order = sorted(range(len(opt.solutions)),
                    key=lambda i: (set(opt.solutions[i].tree_edges) != tg_edges, i))
-    opt_sol = moves = flow = None
-    witness_index = None
-    last_err = "no optimal witness"
+    report = {"beta_witness": 1, "certified": False,
+              "error": "no optimal witness", "witness_index": None,
+              "admissible": None, "violating_path": None,
+              "endpoints_biased": None, "intermediate_trees_ok": None,
+              "reaches_greedy": None, "per_node_loads_ok": None,
+              "level_endpoints_ok": None, "arc_capacities_ok": None,
+              "moves": [], "levels": 0, "paths": []}
     for i in order:
         try:
             moves, flow = transform_tree(inst, opt.solutions[i], greedy_sol,
                                          trace, coeffs)
+            break
         except LookupError as exc:
-            last_err = str(exc)
-            continue
-        opt_sol = opt.solutions[i]
-        witness_index = i
-        break
-    report = {"beta_witness": 1, "certified": False, "error": last_err,
-              "witness_index": None, "admissible": None,
-              "violating_path": None, "endpoints_biased": None,
-              "intermediate_trees_ok": None, "reaches_greedy": None,
-              "per_node_loads_ok": None, "level_endpoints_ok": None,
-              "arc_capacities_ok": None, "moves": [], "levels": 0,
-              "paths": []}
-    if opt_sol is None:
+            report["error"] = str(exc)
+    else:
         return report
+    opt_sol = opt.solutions[i]
 
     # replay the moves move-by-move: every intermediate is a spanning tree
     eset = frozenset(inst.edges)
@@ -481,31 +470,17 @@ def verify_beta_one(inst: GraphInstance, trace: GreedyTrace, opt: Optimum,
             trees_ok = False
     reaches_greedy = state == greedy_sol.as_dict()
 
-    gamma = greedy_sol.charge_vector()
-    ordering = PathOrdering.canonical(flow, trace.rank)
-    admissible, violating = check_admissible(flow, ordering, gamma)
-    biased = all(trace.rank[p[0]] >= trace.rank[p[-1]] for p in flow.paths)
-    loads = [0] * inst.n_vertices
-    for p in flow.paths:
-        loads[p[-1]] += 1
-    loads_ok = all(loads[v] <= gamma[v] for v in range(inst.n_vertices))
-    ends_ok = (flow.levels[0] == opt_sol.charge_vector()
-               and flow.levels[-1] == gamma)
-    caps_ok = flow_respects_capacities(flow, coeffs, trace.rank,
-                                       trace.length)
+    checks = _endpoint_checks(flow, opt_sol.charge_vector(),
+                              greedy_sol.charge_vector(), trace.rank)
     report.update(
-        certified=(trees_ok and reaches_greedy and admissible and biased
-                   and loads_ok and ends_ok),
+        checks,
+        certified=trees_ok and reaches_greedy and _endpoints_pass(checks),
         error=None,
-        witness_index=witness_index,
-        admissible=admissible,
-        violating_path=violating,
-        endpoints_biased=biased,
+        witness_index=i,
         intermediate_trees_ok=trees_ok,
         reaches_greedy=reaches_greedy,
-        per_node_loads_ok=loads_ok,
-        level_endpoints_ok=ends_ok,
-        arc_capacities_ok=caps_ok,
+        arc_capacities_ok=flow_respects_capacities(flow, coeffs, trace.rank,
+                                                   trace.length),
         moves=[{"kind": m.kind, "vertices": list(m.vertices)} for m in moves],
         levels=flow.q,
         paths=[list(p) for p in flow.paths],

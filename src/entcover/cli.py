@@ -181,8 +181,8 @@ def cmd_reduce(args) -> int:
     with open(out_path, "wb") as fh:
         fh.write(serialize_instance(gadget))
     m, n = len(inst.sets), inst.n_elements
-    w = 2 * (m + n) - 1
-    a = 2 * m + n - 1
+    w = gadget.n_vertices - 1  # every spanning tree's edge count
+    a = len(gadget.neighbors(roles.r_node))  # the hub's degree
     # mu(lambda) = offset + slope * lambda, exactly reduction_entropy_relation
     offset = reduction_entropy_relation(m, n, 0.0)
     slope = n / w

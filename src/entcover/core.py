@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, cycle, islice, repeat
 from operator import gt, lt, sub
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
@@ -112,23 +111,6 @@ class Cover:
 
     def __len__(self) -> int:
         return len(self.x)
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Normalized allocation p = x / total; probabilities as exact rationals."""
-
-    p: Tuple[Fraction, ...]
-
-    @classmethod
-    def from_cover(cls, cover: Cover) -> "Distribution":
-        n = cover.total
-        if n <= 0:
-            raise ValueError("degenerate cover")
-        return cls(tuple(Fraction(v, n) for v in cover.x))
-
-    def as_floats(self) -> Tuple[float, ...]:
-        return tuple(float(q) for q in self.p)
 
 
 def entropy(cover: Cover) -> float:

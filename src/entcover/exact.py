@@ -3,11 +3,13 @@
 One subset DP finds every optimal cover vector of any polymatroid
 oracle: ``exact_cover`` runs it on the oracle it is given, and
 ``exact_mest`` runs it on the spanning-tree oracle and realises each
-optimal vector as a charged tree.  The set-cover assignment search,
-the orientation sweep and the spanning-tree enumeration behind
-``exact_mest_entropy`` are independent routes, kept as cross-checks,
-and the test suite holds one more: a branch-and-bound enumerator of
-every cover (tests/cover_reference.py).
+optimal vector as a charged tree.  One assignment search, which gives
+each element to one of its sets (``exact_assignment_mesc``) or each
+edge to one of its endpoints (``exact_orientation``), and the
+spanning-tree enumeration behind ``exact_mest_entropy`` are
+independent routes, kept as cross-checks, and the test suite holds one
+more: a branch-and-bound enumerator of every cover
+(tests/cover_reference.py).
 
 The DP rests on two facts.  Entropy is strictly concave, so every
 optimal integer cover is a vertex of the base polytope, and every
@@ -29,14 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (Cover, PolymatroidOracle, entropy_from_weight,
                    polymatroid_violation, weight_product)
 from .greedy import GreedyTrace
-from .instances import (Edge, GraphInstance, OrientationSolution,
-                        SetCoverInstance, complete_mest_solution, find,
-                        mest_oracle)
+from .instances import (Edge, GraphInstance, SetCoverInstance,
+                        complete_mest_solution, find, mest_oracle)
 
 GUARD_MSG = "instance too large for exact solver"
 EXACT_MAX_WORK = 1 << 20  # the subset DP's bound on m 2^m: m <= 16
@@ -139,13 +140,30 @@ def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
 def exact_assignment_mesc(inst: SetCoverInstance) -> Optimum:
     """Set-cover optimum via the assignment formulation: every universe
     element picks one containing set; scores the induced count vectors."""
-    n, m = inst.n_elements, inst.m
-    owners = [[i for i, s in enumerate(inst.sets) if j in s] for j in range(n)]
+    owners = [[i for i, s in enumerate(inst.sets) if j in s]
+              for j in range(inst.n_elements)]
     work = 1
     for o in owners:
         work *= len(o)
         if work > 5_000_000:
             raise GuardError(GUARD_MSG)
+    return _best_assignments(owners, inst.m)
+
+
+def exact_orientation(inst: GraphInstance) -> Optimum:
+    """Orientation optimum by the same assignment search: each edge
+    picks one of its two endpoints; at most 16 edges."""
+    if len(inst.edges) > 16:
+        raise GuardError(GUARD_MSG)
+    if not inst.edges:
+        raise ValueError("graph has no edges")
+    return _best_assignments(inst.edges, inst.n_vertices)
+
+
+def _best_assignments(owners: Sequence[Sequence[int]], m: int) -> Optimum:
+    """Every optimal count vector over m owners when item j goes to one
+    of owners[j], by a search memoised on (item, counts so far)."""
+    n = len(owners)
     best_w = -1
     best: set = set()
     counts = [0] * m
@@ -174,35 +192,6 @@ def exact_assignment_mesc(inst: SetCoverInstance) -> Optimum:
     rec(0)
     covers = tuple(Cover(t) for t in sorted(best))
     return Optimum(entropy_from_weight(best_w, n), covers)
-
-
-def exact_orientation(inst: GraphInstance) -> Optimum:
-    """All 2^|E| orientations; optimal per-vertex charge vectors."""
-    ne = len(inst.edges)
-    if ne > 16:
-        raise GuardError(GUARD_MSG)
-    if ne == 0:
-        raise ValueError("graph has no edges")
-    n = inst.n_vertices
-    best_w = -1
-    found: Dict[Tuple[int, ...], OrientationSolution] = {}
-    for mask in range(1 << ne):
-        c = [0] * n
-        assign = []
-        for i, (u, v) in enumerate(inst.edges):
-            w = u if (mask >> i) & 1 else v
-            assign.append(w)
-            c[w] += 1
-        wgt = weight_product(c)
-        if wgt > best_w:
-            best_w = wgt
-            found = {tuple(c): OrientationSolution(inst.edges, tuple(assign))}
-        elif wgt == best_w:
-            found.setdefault(tuple(c), OrientationSolution(inst.edges, tuple(assign)))
-    vecs = sorted(found)
-    covers = tuple(Cover(t) for t in vecs)
-    sols = tuple(found[t] for t in vecs)
-    return Optimum(entropy_from_weight(best_w, ne), covers, sols)
 
 
 def _spanning_trees(n: int, edges: Tuple[Edge, ...]):
@@ -330,9 +319,10 @@ def _spanning_tree_count(inst: GraphInstance) -> int:
 def exact_mest_entropy(inst: GraphInstance) -> float:
     """Optimal tree-cover entropy only, by a route independent of the
     subset DP: every spanning tree, each charged optimally by a tree
-    DP.  The guard bounds that work: it counts the trees first and
-    refuses more than MEST_ENTROPY_MAX_TREES (every graph on 8 vertices
-    passes) or more than MEST_ENTROPY_MAX_VERTICES vertices."""
+    DP, until one reaches (n-1)^(n-1), the largest weight any tree can.
+    The guard bounds that work: it counts the trees first and refuses
+    more than MEST_ENTROPY_MAX_TREES (every graph on 8 vertices passes)
+    or more than MEST_ENTROPY_MAX_VERTICES vertices."""
     n = inst.n_vertices
     if n > MEST_ENTROPY_MAX_VERTICES:
         raise GuardError(GUARD_MSG)
@@ -343,6 +333,10 @@ def exact_mest_entropy(inst: GraphInstance) -> float:
     if _spanning_tree_count(inst) > MEST_ENTROPY_MAX_TREES:
         raise GuardError(GUARD_MSG)
     self_pow = [j ** j for j in range(n)]  # 0^0 = 1
-    best_w = max(_best_charge_weight([inst.edges[i] for i in tree], self_pow)
-                 for tree in _spanning_trees(n, inst.edges))
+    best_w = 0
+    for tree in _spanning_trees(n, inst.edges):
+        best_w = max(best_w, _best_charge_weight(
+            [inst.edges[i] for i in tree], self_pow))
+        if best_w == self_pow[n - 1]:  # a star charged to its centre
+            break
     return entropy_from_weight(best_w, n - 1)

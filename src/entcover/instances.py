@@ -30,6 +30,20 @@ def find(parent: List[int], x: int) -> int:
     return x
 
 
+def is_spanning_tree(n: int, edges: Sequence[Edge]) -> bool:
+    """The edges form a spanning tree of the vertices 0..n-1: there are
+    n - 1 of them and no edge closes a cycle."""
+    if len(edges) != n - 1:
+        return False
+    parent = list(range(n))
+    for (u, v) in edges:
+        ru, rv = find(parent, u), find(parent, v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
 def _union(masks: Sequence[int], sub: int) -> int:
     """The union of masks[v] over the vertices v in sub."""
     out = 0
@@ -166,27 +180,6 @@ class GraphInstance:
 
 
 @dataclass(frozen=True)
-class OrientationSolution:
-    """Each edge assigned to one of its endpoints (parallel to inst.edges)."""
-
-    edges: Tuple[Edge, ...]
-    assignment: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.assignment) != len(self.edges):
-            raise ValueError("assignment length mismatch")
-        for e, w in zip(self.edges, self.assignment):
-            if w not in e:
-                raise ValueError(f"assigned vertex {w} not incident to edge {e}")
-
-    def charge_vector(self, n_vertices: int) -> Tuple[int, ...]:
-        c = [0] * n_vertices
-        for w in self.assignment:
-            c[w] += 1
-        return tuple(c)
-
-
-@dataclass(frozen=True)
 class TreeCoverSolution:
     """A spanning tree plus a charge of each tree edge to one endpoint."""
 
@@ -200,14 +193,11 @@ class TreeCoverSolution:
             raise ValueError("spanning tree needs exactly n-1 edges")
         if len(self.charge) != n - 1:
             raise ValueError("charge length mismatch")
-        parent = list(range(n))
         for e, w in zip(self.tree_edges, self.charge):
             if w not in e:
                 raise ValueError(f"charge vertex {w} not incident to edge {e}")
-            ru, rv = find(parent, e[0]), find(parent, e[1])
-            if ru == rv:
-                raise ValueError(f"edge {e} closes a cycle")
-            parent[ru] = rv
+        if not is_spanning_tree(n, self.tree_edges):
+            raise ValueError("tree edges close a cycle")
 
     def charge_vector(self) -> Tuple[int, ...]:
         c = [0] * self.n_vertices
@@ -621,6 +611,9 @@ def generate_random(kind: str, seed: int, **params):
     if kind == "mesc":
         m = params.get("m", 5)
         n = params.get("n", 8)
+        if m < 1 or n < 1:
+            raise ValueError(f"mesc needs at least one set and one element, "
+                             f"got m={m}, n={n}")
         density = params.get("density", 0.3)
         sets = [set() for _ in range(m)]
         for i in range(m):

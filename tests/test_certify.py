@@ -1,6 +1,7 @@
 import pytest
 from conftest import beta_certificate
 
+from entcover import certify
 from entcover.certify import (MultiLevelFlow, PathOrdering, TreeMove,
                               _Choices, _schedule_once, apply_move,
                               check_admissible, flow_respects_capacities,
@@ -21,6 +22,19 @@ def greedy_tree(inst, tie_break="lowest"):
     o = mest_oracle(inst)
     trace = run_greedy(o, tie_break)
     return complete_mest_solution(inst, trace), trace, coefficients(o, trace)
+
+
+def count_schedules(monkeypatch):
+    """Record every _schedule_once call transform_tree makes."""
+    calls = []
+    schedule_once = certify._schedule_once
+
+    def counted(*args):
+        calls.append(args)
+        return schedule_once(*args)
+
+    monkeypatch.setattr(certify, "_schedule_once", counted)
+    return calls
 
 
 # under tie-break "highest", witness 2 of this graph has no certifiable
@@ -166,6 +180,36 @@ class TestTransform:
         witness = exact_mest(UNCERTIFIABLE).solutions[2]
         with pytest.raises(LookupError, match="no certifiable schedule"):
             transform_tree(UNCERTIFIABLE, witness, sol, trace, coeffs)
+
+    def test_second_schedule_certifies(self, monkeypatch):
+        # the first schedule's transitions admit no certifying flow, so
+        # the odometer advances once and the second schedule certifies
+        g = generate_random("mest", 267, n_vertices=7, extra_edge_prob=0.3)
+        sol, trace, coeffs = greedy_tree(g)
+        calls = count_schedules(monkeypatch)
+        transform_tree(g, exact_mest(g).solutions[0], sol, trace, coeffs)
+        assert len(calls) == 2
+
+    def test_flow_search_backtracks(self, monkeypatch):
+        # the flow search first gives each transition to the first unit
+        # standing at its source; on this graph that candidate is not
+        # biased, so the first schedule certifies with a later candidate
+        g = generate_random("mest", 801, n_vertices=6, extra_edge_prob=0.2)
+        calls = count_schedules(monkeypatch)
+        rep, trace, opt = beta_certificate(g, "highest")
+        assert rep["certified"] and len(calls) == 1
+        witness = opt.solutions[rep["witness_index"]]
+        sol, _, coeffs = greedy_tree(g, "highest")
+        _, arcs = _schedule_once(witness.as_dict(), sol.as_dict(), trace.rank,
+                                 coeffs, trace.length, _Choices())
+        x0 = witness.charge_vector()
+        pos = [v for v in range(g.n_vertices) for _ in range(x0[v])]
+        units = list(pos)
+        for src, dst in arcs:
+            if src != dst:
+                pos[pos.index(src)] = dst
+        assert not all(trace.rank[u] >= trace.rank[t] for u, t in zip(units, pos))
+        assert sorted((p[0], p[-1]) for p in rep["paths"]) != sorted(zip(units, pos))
 
     def test_schedule_invariant_is_runtime_error(self):
         # a one-edge "greedy tree" leaves edge (1,2) with no crossing

@@ -251,6 +251,17 @@ def test_gen_mesc_covers_universe(tmp_path, capsys):
     assert covered == set(range(8))
 
 
+def test_gen_empty_mesc_names_the_sizes(capsys):
+    for flag, count, sizes in (("--sets", "0", "m=0, n=8"),
+                               ("--elements", "0", "m=5, n=0"),
+                               ("--sets", "-2", "m=-2, n=8")):
+        code, out, err = run(capsys, "gen", "--kind", "mesc", "--seed", "1",
+                             flag, count)
+        assert (code, out) == (2, ""), flag
+        assert err == ("error: mesc needs at least one set and one element, "
+                       f"got {sizes}\n"), flag
+
+
 def test_gen_stdout(capsys):
     code, out, _ = run(capsys, "gen", "--kind", "meo", "--seed", "3")
     assert code == 0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from entcover.core import (LOG2E, Cover, Distribution, GroundSet,
+from entcover.core import (LOG2E, Cover, GroundSet,
                            PolymatroidOracle, check_polymatroid, entropy,
                            entropy_from_weight, polymatroid_violation,
                            popcount, subset_violation, validate_cover,
@@ -48,15 +48,6 @@ def test_entropy_known_value():
 def test_entropy_degenerate():
     with pytest.raises(ValueError, match="degenerate cover"):
         entropy(Cover((0, 0)))
-    with pytest.raises(ValueError, match="degenerate cover"):
-        Distribution.from_cover(Cover((0,)))
-
-
-def test_distribution_fractions():
-    d = Distribution.from_cover(Cover((2, 1, 0)))
-    assert sum(d.p) == 1
-    assert d.p[0].numerator == 2 and d.p[0].denominator == 3
-    assert d.as_floats() == pytest.approx((2 / 3, 1 / 3, 0.0))
 
 
 def test_entropy_permutation_invariant():

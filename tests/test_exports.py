@@ -8,4 +8,6 @@ def test_star_import_resolves_every_export():
     assert len(entcover.__all__) == len(set(entcover.__all__))
     for name in entcover.__all__:
         assert names[name] is getattr(entcover, name), name
-    assert "specialized_coefficients" not in entcover.__all__
+    for gone in ("specialized_coefficients", "Distribution",
+                 "OrientationSolution"):
+        assert gone not in entcover.__all__, gone

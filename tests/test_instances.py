@@ -9,7 +9,7 @@ import pytest
 from entcover.core import check_polymatroid
 from entcover.greedy import coefficients, run_greedy
 from entcover.instances import (GraphInstance, SetCoverInstance,
-                                complete_mest_solution, find,
+                                TreeCoverSolution, complete_mest_solution, find,
                                 generate_random, hardness_gadget, mesc_oracle, meo_oracle,
                                 mest_oracle, parse_instance,
                                 reduction_entropy_relation, serialize_instance)
@@ -148,6 +148,13 @@ class Completion(unittest.TestCase):
         trace = run_greedy(mest_oracle(g))
         sol = complete_mest_solution(g, trace)
         self.assertEqual(sol.charge_vector(), (3, 0, 0, 0))
+
+    def test_tree_solution_refuses_a_cycle(self):
+        # n - 1 edges that close a cycle leave a vertex out of the tree
+        with self.assertRaisesRegex(ValueError, "^tree edges close a cycle$"):
+            TreeCoverSolution(4, ((0, 1), (0, 2), (1, 2)), (0, 2, 1))
+        with self.assertRaisesRegex(ValueError, "not incident"):
+            TreeCoverSolution(3, ((0, 1), (1, 2)), (0, 0))
 
 
 class Gadget(unittest.TestCase):
@@ -321,6 +328,13 @@ class Generators(unittest.TestCase):
         g = generate_random('mest', 8, n_vertices=7, extra_edge_prob=0.0)
         self.assertEqual(len(g.edges), 6)
         self.assertTrue(g.is_connected())
+
+    def test_mesc_needs_a_set_and_an_element(self):
+        for m, n in ((0, 8), (5, 0), (-2, 8)):
+            with self.assertRaisesRegex(
+                    ValueError, f"^mesc needs at least one set and one "
+                                f"element, got m={m}, n={n}$"):
+                generate_random("mesc", 1, m=m, n=n)
 
     def test_unknown_kind(self):
         with self.assertRaises(ValueError):
