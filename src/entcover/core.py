@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, cycle, islice, repeat
-from operator import gt, lt, sub
-from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from itertools import repeat
+from operator import gt
+from typing import Callable, List, Optional, Sequence, Tuple
 
 LOG2E = math.log2(math.e)
 VALIDATE_MAX_M = 24  # validate_cover reads all 2^m subsets
@@ -82,6 +81,12 @@ class PolymatroidOracle:
     def total(self) -> int:
         """f(U) — the amount every cover must allocate."""
         return self.eval(self.ground.universe)
+
+    def table(self) -> List[int]:
+        """f at every subset mask, in mask order: 2^m reads through eval
+        and its cache.  The family oracles of instances.py override it
+        with a subset recursion over their masks, which reads no cache."""
+        return [self.eval(mask) for mask in range(1 << self.ground.m)]
 
     def gains(self, base: int) -> List[int]:
         """Every marginal gain f(base + j) - f(base), j = 0..m-1; it is 0
@@ -181,8 +186,7 @@ def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optio
             return False, 1 << j
     if cover.total != oracle.total():
         return False, oracle.ground.universe
-    table = [oracle.eval(mask) for mask in range(1 << m)]
-    witness = subset_violation(table, cover.x)
+    witness = subset_violation(oracle.table(), cover.x)
     return witness is None, witness
 
 
@@ -215,7 +219,7 @@ def check_polymatroid(oracle: PolymatroidOracle) -> Tuple[bool, Optional[Tuple[i
     m = oracle.m
     if m > 16:
         raise ValueError("ground set too large for exhaustive polymatroid check")
-    witness = polymatroid_violation([oracle.eval(mask) for mask in range(1 << m)])
+    witness = polymatroid_violation(oracle.table())
     return witness is None, witness
 
 
@@ -224,9 +228,17 @@ def polymatroid_violation(table: Sequence[int]) -> Optional[Tuple[int, int]]:
     in ``table`` (f at every subset mask, in mask order), or None.
 
     For each element i the marginals d_i(S) = f(S + i) - f(S), S without
-    i, are read off the table in one pass; monotonicity is d_i >= 0 and
-    local submodularity is d_i(S) >= d_i(S + j) for every j > i.  Each
-    test runs over whole lists, O(m^2 2^m) in all.
+    i, are tested at once: monotonicity is d_i >= 0, then local
+    submodularity is d_i(S) >= d_i(S + j) for each j > i, in that order.
+    The table is packed into one int, f(S) in lane S of k bytes, with a
+    guard bit G above max f at the top of each lane.  A lane of
+    (G + a) - b, with a and b below G, keeps its guard bit exactly when
+    a >= b, and never borrows from the next lane; once d_i >= 0 holds,
+    the lanes of (G + f(S + i)) - f(S) less their guard bits are d_i,
+    each at most max f.  So each test is a few masked shifts and one
+    guarded subtraction, O(m^2) big-int operations on 2^m lanes in all.
+    The witness comes from the lowest cleared guard bit: the lowest
+    failing S of the first failing test.
     """
     if table[0] != 0:
         return 0, 0
@@ -234,33 +246,30 @@ def polymatroid_violation(table: Sequence[int]) -> Optional[Tuple[int, int]]:
         mask = next(mask for mask, v in enumerate(table)
                     if not isinstance(v, int) or v < 0)
         return mask, mask
-    m = len(table).bit_length() - 1
+    full = len(table)
+    m = full.bit_length() - 1
+    g = max(table).bit_length()  # the guard bit's place in a lane
+    k = g // 8 + 1
+    lane = 8 * k
+    packed = int.from_bytes(b"".join([v.to_bytes(k, "little") for v in table]),
+                            "little")
+    guards = int.from_bytes((1 << g).to_bytes(k, "little") * full, "little")
+    # clear[i]: all ones in every lane S without element i
+    clear = [int.from_bytes((b"\xff" * (k << i) + bytes(k << i)) * (full >> i + 1),
+                            "little") for i in range(m)]
     for i in range(m):
-        bi = 1 << i
-        # d[k] = d_i(S), k being S with bit i squeezed out
-        d = list(map(sub, _bit_clear(islice(table, bi, None), bi),
-                     _bit_clear(table, bi)))
-        low = min(d)
-        if low < 0:
-            s = _unsqueeze(d.index(low), i)
-            return s, s | bi
+        g_i = guards & clear[i]
+        d = (g_i | packed >> (lane << i) & clear[i]) - (packed & clear[i])
+        bad = g_i & ~d
+        if bad:
+            s = ((bad & -bad).bit_length() - 1) // lane
+            return s, s | 1 << i
+        d ^= g_i  # lane S now holds d_i(S)
         for j in range(i + 1, m):
-            bj = 1 << (j - 1)  # j's bit in d's indexing
-            lo = list(_bit_clear(d, bj))
-            hi = list(_bit_clear(islice(d, bj, None), bj))
-            if any(map(lt, lo, hi)):
-                k = next(k for k, pair in enumerate(zip(lo, hi))
-                         if pair[0] < pair[1])
-                s = _unsqueeze(_unsqueeze(k, j - 1), i)
-                return s | bi, s | 1 << j
+            g_ij = g_i & clear[j]
+            x = (g_ij | d & clear[j]) - (d >> (lane << j) & clear[j])
+            bad = g_ij & ~x
+            if bad:
+                s = ((bad & -bad).bit_length() - 1) // lane
+                return s | 1 << i, s | 1 << j
     return None
-
-
-def _bit_clear(vals: Iterable[int], bit: int) -> Iterator[int]:
-    """The items of vals at the indices with ``bit`` clear, in order."""
-    return compress(vals, cycle([True] * bit + [False] * bit))
-
-
-def _unsqueeze(k: int, pos: int) -> int:
-    """k with a zero bit inserted at position pos."""
-    return (k >> pos << pos + 1) | (k & ((1 << pos) - 1))

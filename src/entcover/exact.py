@@ -17,10 +17,15 @@ vertex is the greedy vector of some element order (Edmonds 1970).  So
 the optimum is the best chain through the subset lattice, found by the
 Held-Karp subset DP (Held & Karp 1962) in O(m 2^m) steps, whatever
 f(U) is.  Both facts need a polymatroid: the DP first checks the axioms
-on the f-table it reads, in O(m^2 2^m), and refuses any other set
-function with ValueError.  On a polymatroid every chain's vector is a
-valid cover, so the optima are not checked again.  The size guard
-bounds the DP's work: m 2^m at most EXACT_MAX_WORK, that is m <= 16.
+on the whole f-table it reads, in O(m^2) big-int steps over 2^m packed
+lanes, and refuses any other set function with ValueError.  The family
+oracles build that table by a subset recursion over their masks
+(PolymatroidOracle.table).  The check is also what lets the DP stop a
+chain early: f is then monotone, so once a chain reaches f(S) = f(U)
+every later gain is 0, and only the states with f(S) < f(U) are
+expanded.  On a polymatroid every chain's vector is a valid cover, so
+the optima are not checked again.  The size guard bounds the DP's
+work: m 2^m at most EXACT_MAX_WORK, that is m <= 16.
 
 Optima are selected by maximizing the integer weight prod x_j^{x_j},
 which orders covers exactly opposite to entropy for a fixed total, so
@@ -30,6 +35,7 @@ ties are resolved without floating-point comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,41 +80,55 @@ def _guard_work(m: int) -> None:
 def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
     """Every optimal cover of the polymatroid, plus the f-table read.
 
-    f is read once into a table indexed by subset mask, and the table
-    is checked to be a polymatroid (ValueError naming a counterexample
-    pair otherwise).  Then best[S], the largest weight of a chain from
-    the empty set to S, is
+    f is read once into a table indexed by subset mask (oracle.table),
+    and the whole table is checked to be a polymatroid (ValueError
+    naming a counterexample pair otherwise).  The check proves f
+    monotone, so once a chain reaches f(S) = f(U) every later gain is 0
+    and adds a factor 0^0 = 1: the chain ends there.  So only the open
+    states, f(S) < f(U), are expanded, marked and carried; every subset
+    of an open state is open.  For them best[S], the largest weight of
+    a chain from the empty set to S, is
 
-        best[S] = max_j best[S - j] * d^d,   d = f(S) - f(S - j).
+        best[S] = max_j best[S - j] * d^d,   d = f(S) - f(S - j),
 
-    The optimal covers are the vectors of the chains that attain
-    best[U].  States on such chains are marked walking back from U;
+    and a chain that ends by a step from P weighs best[P] * r^r, with
+    r = f(U) - f(P).  The optimum's weight is the largest such end, and
+    the optimal covers are the vectors of the chains that attain it.
+    Open states on such chains are marked walking back from their ends;
     then each size layer of marked states carries its distinct partial
-    vectors forward to the next, and the covers are those reaching U,
-    in ascending order.  Each is a chain's greedy vector, a vertex of
-    the checked polymatroid's base polytope, so a valid cover as it is.
+    vectors forward to the next, and every step from a carried state P
+    to f(U) finishes a cover.  That end is optimal: best[P] * r^r is at
+    least the weight of any chain through P, since a^a b^b <= (a+b)^(a+b).
+    The covers are returned in ascending order.  Each is a chain's
+    greedy vector, a vertex of the checked polymatroid's base polytope,
+    so a valid cover as it is.
     """
     m = oracle.m
     total = oracle.total()
     if total < 1:
         raise ValueError("degenerate polymatroid: f(U) = 0")
-    full = 1 << m
-    f = [oracle.eval(mask) for mask in range(full)]
+    f = oracle.table()
     bad = polymatroid_violation(f)
     if bad is not None:
         raise ValueError(f"oracle is not a polymatroid: subsets {bad[0]} "
                          f"and {bad[1]} violate the axioms")
     self_pow = [v ** v for v in range(total + 1)]  # 0^0 = 1
     bits = [1 << j for j in range(m)]
-    best = [1] * full
-    for s in range(1, full):
+    opened = list(compress(range(len(f)), map(total.__gt__, f)))
+    best = [1] * len(f)
+    for s in opened[1:]:
         fs = f[s]
         best[s] = max([best[s ^ b] * self_pow[fs - f[s ^ b]]
                        for b in bits if s & b])
-    # mark the states on some optimal chain, from U down
-    on = bytearray(full)
-    on[full - 1] = 1
-    for s in range(full - 1, 0, -1):
+    # the weight of each chain end: an open state one step below f(U)
+    end_weight = {p: best[p] * self_pow[total - f[p]] for p in opened
+                  if total in [f[p | b] for b in bits]}
+    top = max(end_weight.values())
+    # mark the open states on some optimal chain, from its end down
+    on = bytearray(len(f))
+    for p, v in end_weight.items():
+        on[p] = v == top
+    for s in reversed(opened):
         if on[s]:
             fs, bs = f[s], best[s]
             for b in bits:
@@ -117,24 +137,27 @@ def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
     # carry each marked state's partial vectors up one layer at a time,
     # each packed into an int with x_j in bits [j w, (j + 1) w)
     w = total.bit_length()
+    found: set = set()
     layer = {0: {0}}
-    for _ in range(m):
+    while layer:
         nxt: Dict[int, set] = {}
         for p, vecs in layer.items():
             fp, bp = f[p], best[p]
             for j, b in enumerate(bits):
                 s = p | b
-                if s == p or not on[s]:
+                if s == p:
                     continue
                 d = f[s] - fp
-                if bp * self_pow[d] == best[s]:
+                if f[s] == total:  # an optimal chain ends here
+                    found.update(map((d << j * w).__add__, vecs))
+                elif on[s] and bp * self_pow[d] == best[s]:
                     nxt.setdefault(s, set()).update(
                         map((d << j * w).__add__, vecs))
         layer = nxt
     low = (1 << w) - 1
     covers = tuple(Cover(x) for x in sorted(
-        tuple(v >> j * w & low for j in range(m)) for v in layer[full - 1]))
-    return Optimum(entropy_from_weight(best[full - 1], total), covers), f
+        tuple(v >> j * w & low for j in range(m)) for v in found))
+    return Optimum(entropy_from_weight(top, total), covers), f
 
 
 def exact_assignment_mesc(inst: SetCoverInstance) -> Optimum:
@@ -162,36 +185,15 @@ def exact_orientation(inst: GraphInstance) -> Optimum:
 
 def _best_assignments(owners: Sequence[Sequence[int]], m: int) -> Optimum:
     """Every optimal count vector over m owners when item j goes to one
-    of owners[j], by a search memoised on (item, counts so far)."""
-    n = len(owners)
-    best_w = -1
-    best: set = set()
-    counts = [0] * m
-    seen: set = set()
-
-    def rec(j: int) -> None:
-        nonlocal best_w
-        state = (j, tuple(counts))
-        if state in seen:
-            return
-        seen.add(state)
-        if j == n:
-            w = weight_product(counts)
-            if w > best_w:
-                best_w = w
-                best.clear()
-                best.add(tuple(counts))
-            elif w == best_w:
-                best.add(tuple(counts))
-            return
-        for i in owners[j]:
-            counts[i] += 1
-            rec(j + 1)
-            counts[i] -= 1
-
-    rec(0)
-    covers = tuple(Cover(t) for t in sorted(best))
-    return Optimum(entropy_from_weight(best_w, n), covers)
+    of owners[j], carrying one layer of distinct count vectors per item."""
+    layer = {(0,) * m}
+    for own in owners:
+        layer = {c[:i] + (c[i] + 1,) + c[i + 1:] for c in layer for i in own}
+    weights = {c: weight_product(c) for c in layer}
+    best_w = max(weights.values())
+    covers = tuple(Cover(c) for c in sorted(c for c, w in weights.items()
+                                            if w == best_w))
+    return Optimum(entropy_from_weight(best_w, len(owners)), covers)
 
 
 def _spanning_trees(n: int, edges: Tuple[Edge, ...]):

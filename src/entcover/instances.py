@@ -54,6 +54,15 @@ def _union(masks: Sequence[int], sub: int) -> int:
     return out
 
 
+def _union_table(masks: Sequence[int]) -> List[int]:
+    """_union(masks, S) for every subset mask S, in mask order: the
+    subsets with j follow those without it, each with masks[j] added."""
+    table = [0]
+    for mk in masks:
+        table += [u | mk for u in table]
+    return table
+
+
 class _ItemError(ValueError):
     """An instance constructor's refusal of set or edge number item."""
 
@@ -213,8 +222,9 @@ class TreeCoverSolution:
 
 class _FamilyOracle(PolymatroidOracle):
     """A family's oracle: eval reads the subset function through the
-    cache, while gains and gain are the family's closed forms on the
-    state of the last base they were asked about.  The greedy and the
+    cache, table builds f at every mask by a subset recursion over the
+    family's masks, and gains and gain are the family's closed forms on
+    the state of the last base they were asked about.  The greedy and the
     coefficient table ask along one growing chain W_0 ⊂ W_1 ⊂ …, so the
     state grows by each base's new elements only; a base that does not
     contain the last one starts it again from ∅."""
@@ -267,6 +277,9 @@ class _CoverageOracle(_FamilyOracle):
 
     def _gain(self, j: int) -> int:
         return (self._masks[j] & ~self._covered).bit_count()
+
+    def table(self) -> List[int]:
+        return list(map(int.bit_count, _union_table(self._masks)))
 
 
 def mesc_oracle(inst: SetCoverInstance) -> PolymatroidOracle:
@@ -347,6 +360,20 @@ class _TreeOracle(_FamilyOracle):
         t = sum([reach >> j & 1 for _, reach in self._comps])
         return (self._closed[j] & ~self._covered).bit_count() - 1 + t
 
+    def table(self) -> List[int]:
+        covered = _union_table(self._closed)  # S ∪ N(S)
+        reach = _union_table(self._near)
+        comps = [0] * len(covered)  # comps[S]: the components of G²[S]
+        for s in range(1, len(comps)):
+            # the component of s's lowest vertex, by a flood fill over
+            # reach; near holds that vertex only once it has an edge, so
+            # it is ORed in.  The rest of s keeps its components.
+            comp, grown = 0, s & -s
+            while grown != comp:
+                comp, grown = grown, reach[grown] & s | grown
+            comps[s] = comps[s ^ comp] + 1
+        return [c.bit_count() - k for c, k in zip(covered, comps)]
+
 
 def mest_oracle(inst: GraphInstance) -> PolymatroidOracle:
     """Cycle-matroid rank of the edges adjacent to S.
@@ -422,7 +449,7 @@ def realise_cover(inst: Union[SetCoverInstance, GraphInstance], kind: str,
     x(S) <= f(S) holds for every S by the definition of f.  A vector
     that equals the trace's cover and sums to f(U) therefore proves that
     cover valid in time linear in the instance size, where
-    validate_cover takes 2^m oracle reads.
+    validate_cover reads f at all 2^m subsets.
     """
     if kind == "mesc":
         counts = [0] * inst.m

@@ -175,28 +175,50 @@ def test_check_polymatroid_rejects_bad_empty():
 
 
 def polymatroid_violation_by_loop(vals):
-    """Reference verdict: every local axiom tested one subset at a time."""
+    """Reference witness: every local axiom tested one subset at a time,
+    for each element i monotonicity first, then submodularity with each
+    j > i, each test over ascending S."""
     m = len(vals).bit_length() - 1
-    if vals[0] != 0 or min(vals) < 0:
-        return False
-    for mask in range(len(vals)):
-        outside = [j for j in range(m) if not (mask >> j) & 1]
-        for a, i in enumerate(outside):
-            if vals[mask] > vals[mask | (1 << i)]:
-                return False
-            for j in outside[a + 1:]:
-                si, sj = mask | (1 << i), mask | (1 << j)
-                if vals[si] + vals[sj] < vals[si | sj] + vals[mask]:
-                    return False
-    return True
+    if vals[0] != 0:
+        return 0, 0
+    if min(vals) < 0:
+        s = next(s for s, v in enumerate(vals) if v < 0)
+        return s, s
+    for i in range(m):
+        rest = [s for s in range(len(vals)) if not s >> i & 1]
+        for s in rest:
+            if vals[s] > vals[s | 1 << i]:
+                return s, s | 1 << i
+        for j in range(i + 1, m):
+            for s in rest:
+                si, sj = s | 1 << i, s | 1 << j
+                if not s >> j & 1 and vals[si] + vals[sj] < vals[si | sj] + vals[s]:
+                    return si, sj
+    return None
+
+
+def lane_limit_table(rng, m, top):
+    """A table whose largest value is top, near the packed check's lane
+    widths: a polymatroid min(top, a |S|), or a random table."""
+    if rng.random() < 0.5:
+        a = -(-top // rng.randint(1, m))
+        return [min(top, a * bin(s).count("1")) for s in range(1 << m)]
+    vals = [0] + [rng.randrange(top + 1) for _ in range((1 << m) - 1)]
+    vals[rng.randrange(1, 1 << m)] = top
+    return vals
 
 
 def test_polymatroid_violation_matches_loop_reference():
     rng = random.Random(31)
     rejected = 0
-    for trial in range(1500):
+    for trial in range(2100):
         m = rng.randint(1, 6)
-        if trial % 2:
+        if trial >= 1500:  # the largest value straddles a lane-width limit
+            vals = lane_limit_table(
+                rng, m, rng.choice((63, 64, 127, 128, 255, 256, (1 << 16) + 3)))
+            if trial % 3 == 0:
+                vals[rng.randrange(1, 1 << m)] = rng.choice((0, max(vals)))
+        elif trial % 2:
             vals = [0] + [rng.randrange(5) for _ in range((1 << m) - 1)]
         else:  # a real oracle, sometimes nudged at one subset
             inst = generate_random("mesc", trial, m=m, n=m + 3)
@@ -204,7 +226,7 @@ def test_polymatroid_violation_matches_loop_reference():
             if trial % 4 == 0:
                 vals[rng.randrange(1, 1 << m)] += rng.choice((-1, 1))
         witness = polymatroid_violation(vals)
-        assert (witness is None) == polymatroid_violation_by_loop(vals), vals
+        assert witness == polymatroid_violation_by_loop(vals), vals
         if witness is None:
             continue
         rejected += 1
@@ -215,7 +237,7 @@ def test_polymatroid_violation_matches_loop_reference():
             assert vals[s] > vals[t], (vals, witness)
         else:
             assert vals[s] + vals[t] < vals[s | t] + vals[s & t], (vals, witness)
-    assert rejected > 500
+    assert rejected > 700
 
 
 def test_subset_violation_is_first_violated_subset():

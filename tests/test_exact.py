@@ -169,10 +169,15 @@ def test_non_polymatroid_is_refused_with_a_counterexample():
 
 
 def test_dp_matches_reference_enumerator():
-    # 600 seeded oracles, m = 3-7: same covers in the same order,
-    # bit-identical entropy
+    # 1,000 seeded oracles, m = 3-7: same covers in the same order,
+    # bit-identical entropy.  Dense mest and a set holding the whole
+    # universe reach f(U) early, where the DP ends its chains.
     count = 0
     for seed in range(200):
+        sets = generate_random('mesc', 4000 + seed, m=2 + seed % 5,
+                               n=6 + seed % 7)
+        whole = SetCoverInstance(sets.n_elements, sets.sets + (
+            frozenset(range(sets.n_elements)),))
         for o in (mesc_oracle(generate_random('mesc', seed, m=3 + seed % 5,
                                               n=6 + seed % 7)),
                   meo_oracle(generate_random('meo', 1000 + seed,
@@ -180,13 +185,17 @@ def test_dp_matches_reference_enumerator():
                                              extra_edge_prob=0.25)),
                   mest_oracle(generate_random('mest', 2000 + seed,
                                               n_vertices=4 + seed % 4,
-                                              extra_edge_prob=0.3))):
+                                              extra_edge_prob=0.3)),
+                  mest_oracle(generate_random('mest', 3000 + seed,
+                                              n_vertices=4 + seed % 4,
+                                              extra_edge_prob=0.6)),
+                  mesc_oracle(whole)):
             opt, ref = exact_cover(o), optimal_covers(o)
             assert xs(opt) == xs(ref), (seed, o.m)
             assert opt.entropy == ref.entropy, (seed, o.m)
             assert_valid_covers(o, opt)
             count += 1
-    assert count == 600
+    assert count == 1000
 
 
 def test_many_optima_at_sixteen_sets():
@@ -224,6 +233,13 @@ def test_assignment_route_agrees():
         b = exact_cover(mesc_oracle(inst))
         assert xs(a) == xs(b), seed
         assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
+
+
+def test_assignment_search_takes_many_elements():
+    # one layer of count vectors per element, not one call frame
+    opt = exact_assignment_mesc(SetCoverInstance(1200, (frozenset(range(1200)),)))
+    assert xs(opt) == ((1200,),)
+    assert opt.entropy == 0.0
 
 
 def test_orientation_trivial_cases():

@@ -8,7 +8,7 @@ import pytest
 
 from entcover.core import check_polymatroid
 from entcover.greedy import coefficients, run_greedy
-from entcover.instances import (GraphInstance, SetCoverInstance,
+from entcover.instances import (GraphInstance, SetCoverInstance, _TreeOracle,
                                 TreeCoverSolution, complete_mest_solution, find,
                                 generate_random, hardness_gadget, mesc_oracle, meo_oracle,
                                 mest_oracle, parse_instance,
@@ -73,6 +73,28 @@ class OracleValues(unittest.TestCase):
         o1, o2 = meo_oracle(g), mesc_oracle(SetCoverInstance(len(g.edges), sets))
         for mask in range(1 << g.n_vertices):
             self.assertEqual(o1.eval(mask), o2.eval(mask))
+
+    def test_table_matches_eval(self):
+        # the family tables are built by a subset recursion, not through
+        # eval: every mask must still read the same, also where a vertex
+        # has no edge (its distance-2 mask lacks its own bit).  mest_oracle
+        # takes connected graphs only, so the tree oracle's class is also
+        # built directly on graphs with isolated vertices.
+        loose = [GraphInstance(5, ((0, 1), (1, 2), (2, 3))),
+                 GraphInstance(5, ((1, 3),)), GraphInstance(3, ())]
+        oracles = [meo_oracle(loose[0]), mest_oracle(GraphInstance(1, ())),
+                   mest_oracle(GraphInstance(2, ((0, 1),)))]
+        oracles += [_TreeOracle(g.nbr_masks, g.distance2_masks) for g in loose]
+        for seed in range(60):
+            m = 1 + seed % 10
+            oracles += [
+                mesc_oracle(generate_random("mesc", seed, m=m, n=m + seed % 5)),
+                meo_oracle(generate_random("meo", seed, n_vertices=m,
+                                           extra_edge_prob=0.1 + 0.1 * (seed % 4))),
+                mest_oracle(generate_random("mest", seed, n_vertices=m,
+                                            extra_edge_prob=0.1 + 0.2 * (seed % 4)))]
+        for o in oracles:
+            self.assertEqual(o.table(), [o.eval(s) for s in range(1 << o.m)])
 
     def test_all_polymatroid(self):
         for o in (mesc_oracle(SETS), meo_oracle(TRIANGLE), mest_oracle(TRIANGLE)):
