@@ -30,9 +30,9 @@ verify_beta_one also reports: admissibility, bias, final loads and the
 first and last levels.  The first schedule and the first candidate flow
 succeed on most instances.
 
-verify_beta_one checks the certificate on the greedy trace, optimum and
-coefficient table the verify pipeline already holds; it computes none of
-them.
+verify_beta_one checks the certificate on the oracle, greedy trace,
+optimum and coefficient table the verify pipeline already holds.  The
+optimum holds only vectors, so it builds the trees it tries from them.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .core import PolymatroidOracle
 from .exact import Optimum
 from .greedy import CoefficientTable, GreedyTrace
 from .instances import (Edge, GraphInstance, TreeCoverSolution,
@@ -422,26 +423,70 @@ def check_admissible(flow: MultiLevelFlow, ordering: PathOrdering,
     return True, None
 
 
-def verify_beta_one(inst: GraphInstance, trace: GreedyTrace, opt: Optimum,
+def _witness_tree(inst: GraphInstance, oracle: PolymatroidOracle,
+                  x: Tuple[int, ...]) -> TreeCoverSolution:
+    """A spanning tree of inst charged exactly x, an optimal vector of
+    ``oracle = mest_oracle(inst)``.  x is a vertex of the base polytope,
+    whose tight sets are closed under union and intersection, so its
+    support has an order along which each marginal gain equals x_j,
+    grown by the lowest such j at each step; complete_mest_solution
+    turns it into the tree.  A missing tight step or a tree charged
+    otherwise raises RuntimeError."""
+    pending = [j for j, v in enumerate(x) if v]
+    order: List[int] = []
+    w = 0
+    while pending:
+        gains = oracle.gains(w)
+        j = next((j for j in pending if gains[j] == x[j]), None)
+        if j is None:
+            raise RuntimeError(f"invariant broken: no tight step extends "
+                               f"{order} for cover {x}")
+        pending.remove(j)
+        order.append(j)
+        w |= 1 << j
+    sol = complete_mest_solution(inst, GreedyTrace.from_chain(
+        inst.n_vertices, order, [x[j] for j in order]))
+    if sol.charge_vector() != x:
+        raise RuntimeError(f"invariant broken: the tree built for {x} "
+                           f"is charged {sol.charge_vector()}")
+    return sol
+
+
+def _witnesses(inst: GraphInstance, oracle: PolymatroidOracle, opt: Optimum,
+               greedy_edges: set) -> Iterator[Tuple[int, TreeCoverSolution]]:
+    """(index, tree) per optimal cover, built as the caller asks: a tree
+    with the greedy tree's edges at once, the others after the scan."""
+    later = []
+    for i, cover in enumerate(opt.covers):
+        sol = _witness_tree(inst, oracle, cover.x)
+        if set(sol.tree_edges) == greedy_edges:
+            yield i, sol
+        else:
+            later.append((i, sol))
+    yield from later
+
+
+def verify_beta_one(inst: GraphInstance, oracle: PolymatroidOracle,
+                    trace: GreedyTrace, opt: Optimum,
                     coeffs: CoefficientTable) -> dict:
     """The β = 1 certificate for one connected graph, from what the verify
-    pipeline computed: the greedy ``trace`` of ``mest_oracle(inst)``, its
-    ``exact_mest`` optimum ``opt`` and the coefficient table ``coeffs`` of
-    that trace.  It transforms an optimal tree into the greedy one,
-    replays every move and checks the induced flow's bias, loads,
-    endpoints, capacities and admissibility.  The entropy bound itself is
-    the caller's: it needs only the two entropies.
+    pipeline computed on ``oracle = mest_oracle(inst)``: the greedy
+    ``trace``, its ``exact_cover`` optimum ``opt`` and the coefficient
+    table ``coeffs`` of that trace.  It transforms an optimal tree
+    (_witness_tree) into the greedy one, replays every move and checks
+    the induced flow's bias, loads, endpoints, capacities and
+    admissibility.  The entropy bound itself is the caller's: it needs
+    only the two entropies.
 
     The certified multiplier is an infimum over constructions, so ONE
     transformable optimal witness suffices; witnesses sharing the greedy
-    edge set are tried first (their schedules are pure reversals).  When
-    none transforms, the report has the same keys with ``certified``
-    False, the last ``error``, and None for every check it could not run.
+    edge set are tried first (their schedules are pure reversals), and
+    no tree is built past the one that transforms.  When none
+    transforms, the report has the same keys with ``certified`` False,
+    the last ``error``, and None for every check it could not run.  A
+    replay that refuses a move is not certified either.
     """
     greedy_sol = complete_mest_solution(inst, trace)
-    tg_edges = set(greedy_sol.tree_edges)
-    order = sorted(range(len(opt.solutions)),
-                   key=lambda i: (set(opt.solutions[i].tree_edges) != tg_edges, i))
     report = {"beta_witness": 1, "certified": False,
               "error": "no optimal witness", "witness_index": None,
               "admissible": None, "violating_path": None,
@@ -449,26 +494,30 @@ def verify_beta_one(inst: GraphInstance, trace: GreedyTrace, opt: Optimum,
               "reaches_greedy": None, "per_node_loads_ok": None,
               "level_endpoints_ok": None, "arc_capacities_ok": None,
               "moves": [], "levels": 0, "paths": []}
-    for i in order:
+    for i, opt_sol in _witnesses(inst, oracle, opt,
+                                 set(greedy_sol.tree_edges)):
         try:
-            moves, flow = transform_tree(inst, opt.solutions[i], greedy_sol,
+            moves, flow = transform_tree(inst, opt_sol, greedy_sol,
                                          trace, coeffs)
             break
         except LookupError as exc:
             report["error"] = str(exc)
     else:
         return report
-    opt_sol = opt.solutions[i]
 
-    # replay the moves move-by-move: every intermediate is a spanning tree
+    # replay the moves: every intermediate is a spanning tree, and
+    # apply_move refuses a move that does not fit
     eset = frozenset(inst.edges)
     state = opt_sol.as_dict()
     trees_ok = is_spanning_tree(inst.n_vertices, list(state))
-    for mv in moves:
-        state = apply_move(state, mv, eset)
-        if not is_spanning_tree(inst.n_vertices, list(state)):
-            trees_ok = False
-    reaches_greedy = state == greedy_sol.as_dict()
+    try:
+        for mv in moves:
+            state = apply_move(state, mv, eset)
+            if not is_spanning_tree(inst.n_vertices, list(state)):
+                trees_ok = False
+        reaches_greedy = state == greedy_sol.as_dict()
+    except ValueError:
+        trees_ok = reaches_greedy = False
 
     checks = _endpoint_checks(flow, opt_sol.charge_vector(),
                               greedy_sol.charge_vector(), trace.rank)

@@ -27,7 +27,7 @@ from typing import Optional
 from .core import (LOG2E, VALIDATE_MAX_M, PolymatroidOracle, entropy,
                    validate_cover)
 from .certify import verify_beta_one
-from .exact import GuardError, exact_cover, exact_mest
+from .exact import GuardError, exact_cover
 from .flow import approximation_bound, min_alpha
 from .greedy import _tie_key, coefficients, run_greedy
 from .instances import (GraphInstance, SetCoverInstance, generate_random,
@@ -45,6 +45,14 @@ def _load(path: str):
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     return parse_instance(data)
+
+
+def _write(path: str, blob: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _resolve_kind(inst, kind: Optional[str]) -> str:
@@ -108,10 +116,7 @@ def _verify_report(inst, kind: str, tie_break: str) -> dict:
     t0 = time.perf_counter()
     trace = run_greedy(oracle, tie_break=tie_break)
     ent_g = entropy(trace.cover)
-    if kind == "mest":
-        opt = exact_mest(inst, oracle=oracle)
-    else:
-        opt = exact_cover(oracle)
+    opt = exact_cover(oracle)
     coeffs = coefficients(oracle, trace)
     alpha = min_alpha(trace, opt.covers, coeffs)
     n = oracle.total()
@@ -134,7 +139,7 @@ def _verify_report(inst, kind: str, tie_break: str) -> dict:
     })
     ok = alpha_bound.holds and plain
     if kind == "mest":
-        cert = verify_beta_one(inst, trace, opt, coeffs)
+        cert = verify_beta_one(inst, oracle, trace, opt, coeffs)
         report["beta_witness"] = cert["beta_witness"]
         report["beta_certified"] = cert["certified"]
         report["beta_admissible"] = cert["admissible"]
@@ -178,8 +183,7 @@ def cmd_reduce(args) -> int:
         raise ValueError("reduce expects a set-cover file")
     gadget, roles = hardness_gadget(inst)
     out_path = args.out or (args.file + ".gadget")
-    with open(out_path, "wb") as fh:
-        fh.write(serialize_instance(gadget))
+    _write(out_path, serialize_instance(gadget))
     m, n = len(inst.sets), inst.n_elements
     w = gadget.n_vertices - 1  # every spanning tree's edge count
     a = len(gadget.neighbors(roles.r_node))  # the hub's degree
@@ -220,8 +224,7 @@ def cmd_gen(args) -> int:
     inst = generate_random(args.kind, args.seed, **params)
     blob = serialize_instance(inst)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
+        _write(args.out, blob)
     else:
         sys.stdout.write(blob.decode("ascii"))
     return 0
@@ -229,7 +232,10 @@ def cmd_gen(args) -> int:
 
 def _batch_jobs(args):
     if args.dir is not None:
-        names = sorted(os.listdir(args.dir))
+        try:
+            names = sorted(os.listdir(args.dir))
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.dir}: {exc}") from None
         for name in names:
             path = os.path.join(args.dir, name)
             if os.path.isfile(path):

@@ -2,14 +2,15 @@
 
 One subset DP finds every optimal cover vector of any polymatroid
 oracle: ``exact_cover`` runs it on the oracle it is given, and
-``exact_mest`` runs it on the spanning-tree oracle and realises each
-optimal vector as a charged tree.  One assignment search, which gives
-each element to one of its sets (``exact_assignment_mesc``) or each
-edge to one of its endpoints (``exact_orientation``), and the
-spanning-tree enumeration behind ``exact_mest_entropy`` are
-independent routes, kept as cross-checks, and the test suite holds one
-more: a branch-and-bound enumerator of every cover
-(tests/cover_reference.py).
+``exact_mest`` is ``exact_cover`` on the spanning-tree oracle.  The
+optimum is only a vector, whatever the family; the spanning-tree
+certificate (certify.py) builds the charged trees it tries from those
+vectors.  One assignment search, which gives each element to one of
+its sets (``exact_assignment_mesc``) or each edge to one of its
+endpoints (``exact_orientation``), and the spanning-tree enumeration
+behind ``exact_mest_entropy`` are independent routes, kept as
+cross-checks, and the test suite holds one more: a branch-and-bound
+enumerator of every cover (tests/cover_reference.py).
 
 The DP rests on two facts.  Entropy is strictly concave, so every
 optimal integer cover is a vertex of the base polytope, and every
@@ -37,13 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .core import (Cover, PolymatroidOracle, entropy_from_weight,
                    polymatroid_violation, weight_product)
-from .greedy import GreedyTrace
-from .instances import (Edge, GraphInstance, SetCoverInstance,
-                        complete_mest_solution, find, mest_oracle)
+from .instances import (Edge, GraphInstance, SetCoverInstance, find,
+                        mest_oracle)
 
 GUARD_MSG = "instance too large for exact solver"
 EXACT_MAX_WORK = 1 << 20  # the subset DP's bound on m 2^m: m <= 16
@@ -62,23 +62,11 @@ class Optimum:
 
     entropy: float
     covers: Tuple[Cover, ...]
-    solutions: Optional[tuple] = None  # one witness realization per cover, where applicable
 
 
 def exact_cover(oracle: PolymatroidOracle) -> Optimum:
     """Every optimal cover of the polymatroid, for ground sets of at
-    most 16 elements; see _optimal_covers."""
-    _guard_work(oracle.m)
-    return _optimal_covers(oracle)[0]
-
-
-def _guard_work(m: int) -> None:
-    if m << m > EXACT_MAX_WORK:
-        raise GuardError(GUARD_MSG)
-
-
-def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
-    """Every optimal cover of the polymatroid, plus the f-table read.
+    most 16 elements.
 
     f is read once into a table indexed by subset mask (oracle.table),
     and the whole table is checked to be a polymatroid (ValueError
@@ -104,6 +92,8 @@ def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
     so a valid cover as it is.
     """
     m = oracle.m
+    if m << m > EXACT_MAX_WORK:
+        raise GuardError(GUARD_MSG)
     total = oracle.total()
     if total < 1:
         raise ValueError("degenerate polymatroid: f(U) = 0")
@@ -157,7 +147,7 @@ def _optimal_covers(oracle: PolymatroidOracle) -> Tuple[Optimum, List[int]]:
     low = (1 << w) - 1
     covers = tuple(Cover(x) for x in sorted(
         tuple(v >> j * w & low for j in range(m)) for v in found))
-    return Optimum(entropy_from_weight(top, total), covers), f
+    return Optimum(entropy_from_weight(top, total), covers)
 
 
 def exact_assignment_mesc(inst: SetCoverInstance) -> Optimum:
@@ -221,58 +211,10 @@ def _spanning_trees(n: int, edges: Tuple[Edge, ...]):
     yield from rec(0, [], list(range(n)))
 
 
-def exact_mest(inst: GraphInstance, *,
-               oracle: Optional[PolymatroidOracle] = None) -> Optimum:
-    """Every optimal tree-cover vector, each with one charged spanning
-    tree that realises it, for graphs of at most 16 vertices.  A caller
-    that already holds mest_oracle(inst) passes it, to share its cache.
-
-    The vectors are the optima of the spanning-tree oracle, found by
-    _optimal_covers, the DP behind exact_cover.  Each optimal x is a
-    vertex of the base polytope.  The sets S with x(S) = f(S) are
-    closed under union and intersection, so a tight order of x's
-    support can be grown one step at a time, and complete_mest_solution
-    turns that order into a tree charged exactly x.  A missing tight
-    step or a tree charged otherwise raises RuntimeError.
-    """
-    n = inst.n_vertices
-    _guard_work(n)
-    if not inst.is_connected():
-        raise ValueError("spanning-tree optimum requires a connected graph")
-    if oracle is None:
-        oracle = mest_oracle(inst)
-    # f(U) = n - 1: n = 1 is refused as degenerate
-    opt, f = _optimal_covers(oracle)
-    sols = []
-    for cover in opt.covers:
-        x = cover.x
-        order = _tight_order(f, x)
-        trace = GreedyTrace.from_chain(n, order, [x[j] for j in order])
-        sol = complete_mest_solution(inst, trace)
-        if sol.charge_vector() != x:
-            raise RuntimeError(f"invariant broken: the tree built for {x} "
-                               f"is charged {sol.charge_vector()}")
-        sols.append(sol)
-    return Optimum(opt.entropy, opt.covers, tuple(sols))
-
-
-def _tight_order(f: List[int], x: Tuple[int, ...]) -> List[int]:
-    """The positive entries of x in an order along which each marginal
-    f(W + j) - f(W) equals x_j, taking the lowest such j at each step;
-    f is the table of the set function at every subset mask."""
-    pending = [j for j, v in enumerate(x) if v]
-    order: List[int] = []
-    w = fw = 0
-    while pending:
-        j = next((j for j in pending if f[w | 1 << j] - fw == x[j]), None)
-        if j is None:
-            raise RuntimeError(f"invariant broken: no tight step extends "
-                               f"{order} for cover {x}")
-        pending.remove(j)
-        order.append(j)
-        w |= 1 << j
-        fw += x[j]
-    return order
+def exact_mest(inst: GraphInstance) -> Optimum:
+    """Every optimal tree-cover vector of a connected graph of at most
+    16 vertices: exact_cover on its spanning-tree oracle."""
+    return exact_cover(mest_oracle(inst))
 
 
 def _best_charge_weight(tree: List[Edge], self_pow: List[int]) -> int:

@@ -407,7 +407,8 @@ def complete_mest_solution(inst: GraphInstance, trace: "GreedyTrace") -> TreeCov
     neighbor as its own singleton component.  All added edges are charged
     to the chosen vertex, so the charge vector equals the trace's cover.
     Any order whose deltas are the oracle's marginals along it will do,
-    not only a greedy one: exact_mest passes tight orders of optima.
+    not only a greedy one: the β = 1 certificate passes tight orders of
+    optima.
     """
     n = inst.n_vertices
     nbr = inst.nbr_masks

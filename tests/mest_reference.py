@@ -12,7 +12,7 @@ distance-2 flood fill.
 
 from entcover.core import Cover, entropy_from_weight, weight_product
 from entcover.exact import Optimum, _best_charge_weight, _spanning_trees
-from entcover.instances import TreeCoverSolution, find
+from entcover.instances import find
 
 
 def rank_by_union_find(inst, sub):
@@ -39,7 +39,7 @@ def mest_by_tree_enumeration(inst):
             best_w, best_trees = w, [tree_idx]
         elif w == best_w:
             best_trees.append(tree_idx)
-    found = {}
+    found = set()
     for tree_idx in best_trees:
         tree = tuple(inst.edges[i] for i in tree_idx)
         for mask in range(1 << ne):
@@ -49,8 +49,6 @@ def mest_by_tree_enumeration(inst):
             for w in charge:
                 c[w] += 1
             if weight_product(c) == best_w:
-                found.setdefault(tuple(c), TreeCoverSolution(n, tree, charge))
-    vecs = sorted(found)
+                found.add(tuple(c))
     return Optimum(entropy_from_weight(best_w, ne),
-                   tuple(Cover(t) for t in vecs),
-                   tuple(found[t] for t in vecs))
+                   tuple(Cover(t) for t in sorted(found)))

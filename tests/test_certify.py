@@ -1,5 +1,5 @@
 import pytest
-from conftest import beta_certificate
+from conftest import beta_certificate, misfit_reversal
 
 from entcover import certify
 from entcover.certify import (MultiLevelFlow, PathOrdering, TreeMove,
@@ -22,6 +22,14 @@ def greedy_tree(inst, tie_break="lowest"):
     o = mest_oracle(inst)
     trace = run_greedy(o, tie_break)
     return complete_mest_solution(inst, trace), trace, coefficients(o, trace)
+
+
+def witness_trees(inst):
+    """The optimum of inst and the charged tree the certificate builds
+    for each of its covers."""
+    o = mest_oracle(inst)
+    opt = exact_mest(inst)
+    return opt, [certify._witness_tree(inst, o, c.x) for c in opt.covers]
 
 
 def count_schedules(monkeypatch):
@@ -142,9 +150,9 @@ class TestTransform:
 
     def test_triangle_witness(self):
         sol, trace, coeffs = greedy_tree(TRIANGLE)
-        opt = exact_mest(TRIANGLE)
+        _, trees = witness_trees(TRIANGLE)
         # pick a witness whose tree differs from the greedy tree
-        others = [s for s in opt.solutions
+        others = [s for s in trees
                   if set(s.tree_edges) != set(sol.tree_edges)]
         assert others
         moves, flow = transform_tree(TRIANGLE, others[0], sol, trace, coeffs)
@@ -158,8 +166,8 @@ class TestTransform:
 
     def test_flow_levels_count_arcs(self):
         sol, trace, coeffs = greedy_tree(TRIANGLE)
-        opt = exact_mest(TRIANGLE)
-        others = [s for s in opt.solutions
+        _, trees = witness_trees(TRIANGLE)
+        others = [s for s in trees
                   if set(s.tree_edges) != set(sol.tree_edges)]
         moves, flow = transform_tree(TRIANGLE, others[0], sol, trace, coeffs)
         assert len(flow.arcs) == flow.q
@@ -177,7 +185,7 @@ class TestTransform:
 
     def test_no_certifiable_schedule(self):
         sol, trace, coeffs = greedy_tree(UNCERTIFIABLE, "highest")
-        witness = exact_mest(UNCERTIFIABLE).solutions[2]
+        witness = witness_trees(UNCERTIFIABLE)[1][2]
         with pytest.raises(LookupError, match="no certifiable schedule"):
             transform_tree(UNCERTIFIABLE, witness, sol, trace, coeffs)
 
@@ -187,7 +195,7 @@ class TestTransform:
         g = generate_random("mest", 267, n_vertices=7, extra_edge_prob=0.3)
         sol, trace, coeffs = greedy_tree(g)
         calls = count_schedules(monkeypatch)
-        transform_tree(g, exact_mest(g).solutions[0], sol, trace, coeffs)
+        transform_tree(g, witness_trees(g)[1][0], sol, trace, coeffs)
         assert len(calls) == 2
 
     def test_flow_search_backtracks(self, monkeypatch):
@@ -198,7 +206,7 @@ class TestTransform:
         calls = count_schedules(monkeypatch)
         rep, trace, opt = beta_certificate(g, "highest")
         assert rep["certified"] and len(calls) == 1
-        witness = opt.solutions[rep["witness_index"]]
+        witness = witness_trees(g)[1][rep["witness_index"]]
         sol, _, coeffs = greedy_tree(g, "highest")
         _, arcs = _schedule_once(witness.as_dict(), sol.as_dict(), trace.rank,
                                  coeffs, trace.length, _Choices())
@@ -253,7 +261,7 @@ class TestVerifyBetaOne:
         assert rep["error"] is None
         # an uncertified report has the same keys
         opt = exact_mest(UNCERTIFIABLE)
-        one = Optimum(opt.entropy, (opt.covers[2],), (opt.solutions[2],))
+        one = Optimum(opt.entropy, (opt.covers[2],))
         rep, _, _ = beta_certificate(UNCERTIFIABLE, "highest", opt=one)
         assert rep["certified"] is False
         assert set(rep) == keys
@@ -266,22 +274,53 @@ class TestVerifyBetaOne:
         assert bound_holds(trace, opt)
 
     def test_walks_past_uncertifiable_witness(self):
-        opt = exact_mest(UNCERTIFIABLE)
-        bad, good = opt.solutions[2], opt.solutions[3]
+        opt, trees = witness_trees(UNCERTIFIABLE)
         sol, _, _ = greedy_tree(UNCERTIFIABLE, "highest")
-        assert set(good.tree_edges) != set(sol.tree_edges)
-        two = Optimum(opt.entropy, (opt.covers[2], opt.covers[3]), (bad, good))
+        assert set(trees[3].tree_edges) != set(sol.tree_edges)
+        two = Optimum(opt.entropy, (opt.covers[2], opt.covers[3]))
         rep, _, _ = beta_certificate(UNCERTIFIABLE, "highest", opt=two)
         assert rep["certified"]
         assert rep["witness_index"] == 1
 
     def test_uncertified_report(self):
         opt = exact_mest(UNCERTIFIABLE)
-        one = Optimum(opt.entropy, (opt.covers[2],), (opt.solutions[2],))
+        one = Optimum(opt.entropy, (opt.covers[2],))
         rep, trace, opt = beta_certificate(UNCERTIFIABLE, "highest", opt=one)
         assert rep["certified"] is False
         assert bound_holds(trace, opt)
         assert "no certifiable schedule" in rep["error"]
+
+    @pytest.mark.parametrize("inst, tie_break, index", [
+        (TRIANGLE, "highest", 0),
+        (generate_random("mest", 6, n_vertices=6), "highest", 0),
+        (generate_random("mest", 8, n_vertices=6), "lowest", 6),
+    ])
+    def test_builds_no_witness_past_the_certified_one(self, monkeypatch,
+                                                      inst, tie_break, index):
+        # each certifying witness has the greedy tree's edges, so it is
+        # tried as soon as it is built, and the later covers stay vectors
+        built = []
+        witness_tree = certify._witness_tree
+
+        def counted(graph, oracle, x):
+            built.append(x)
+            return witness_tree(graph, oracle, x)
+
+        monkeypatch.setattr(certify, "_witness_tree", counted)
+        rep, _, opt = beta_certificate(inst, tie_break)
+        assert rep["certified"] and rep["witness_index"] == index
+        assert built == [c.x for c in opt.covers[:index + 1]]
+        assert len(opt.covers) > index + 1
+
+    def test_broken_schedule_is_uncertified(self, monkeypatch):
+        # a move the replay refuses fails the certificate; it is not an
+        # input error
+        monkeypatch.setattr(certify, "transform_tree", misfit_reversal)
+        rep, _, _ = beta_certificate(TRIANGLE)
+        assert rep["certified"] is False
+        assert rep["intermediate_trees_ok"] is False
+        assert rep["reaches_greedy"] is False
+        assert rep["moves"][-1]["kind"] == "reversal"
 
     def test_seeded_batch(self):
         for seed in range(50):

@@ -3,9 +3,11 @@ import json
 import time
 
 import pytest
+from conftest import misfit_reversal
 
-from entcover import cli
+from entcover import certify, cli
 from entcover.core import Cover, PolymatroidOracle
+from entcover.exact import Optimum
 from entcover.instances import (generate_random, parse_instance,
                                 serialize_instance)
 
@@ -221,6 +223,15 @@ def test_reduce_explicit_out(tmp_path, capsys):
     assert parse_instance(open(out_path).read()).n_vertices == 10
 
 
+def test_reduce_unwritable_out_is_an_input_error(tmp_path, capsys):
+    f = write(tmp_path, "r.mesc", "mesc 2 3\n0 1\n1 2\n")
+    out_path = str(tmp_path / "missing" / "gadget.graph")
+    code, out, err = run(capsys, "reduce", f, "--out", out_path, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
 def test_reduce_rejects_graph_input(tmp_path, capsys):
     f = write(tmp_path, "t.graph", TRIANGLE)
     code, _, err = run(capsys, "reduce", f)
@@ -237,6 +248,15 @@ def test_gen_deterministic(tmp_path, capsys):
     assert open(a).read() == open(b).read()
     g = parse_instance(open(a).read())
     assert g.is_connected()
+
+
+def test_gen_unwritable_out_is_an_input_error(tmp_path, capsys):
+    out_path = str(tmp_path / "missing" / "g.graph")
+    code, out, err = run(capsys, "gen", "--kind", "mest", "--seed", "5",
+                         "--out", out_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 def test_gen_mesc_covers_universe(tmp_path, capsys):
@@ -298,15 +318,15 @@ def test_batch_internal_error_keeps_going(capsys, monkeypatch):
     assert "Traceback" in err
 
 
-def test_verify_mest_runs_exact_mest_once(tmp_path, capsys, monkeypatch):
-    real = cli.exact_mest
+def test_verify_mest_runs_exact_cover_once(tmp_path, capsys, monkeypatch):
+    real = cli.exact_cover
     calls = []
 
-    def counted(inst, **kwargs):
+    def counted(oracle):
         calls.append(1)
-        return real(inst, **kwargs)
+        return real(oracle)
 
-    monkeypatch.setattr(cli, "exact_mest", counted)
+    monkeypatch.setattr(cli, "exact_cover", counted)
     f = write(tmp_path, "t.graph", TRIANGLE)
     code, _, _ = run(capsys, "verify", f, "--kind", "mest", "--json")
     assert code == 0
@@ -350,14 +370,13 @@ def test_verify_mest_uncertified_is_a_bound_violation(tmp_path, capsys,
     # under tie-break "highest", witness 2 of this graph has no certifiable
     # schedule; offered as the only optimum, nothing certifies
     inst = generate_random("mest", 87116, n_vertices=7, extra_edge_prob=0.2)
-    real = cli.exact_mest
+    real = cli.exact_cover
 
-    def witness_two(graph, **kwargs):
-        opt = real(graph, **kwargs)
-        return dataclasses.replace(opt, covers=(opt.covers[2],),
-                                   solutions=(opt.solutions[2],))
+    def witness_two(oracle):
+        opt = real(oracle)
+        return Optimum(opt.entropy, (opt.covers[2],))
 
-    monkeypatch.setattr(cli, "exact_mest", witness_two)
+    monkeypatch.setattr(cli, "exact_cover", witness_two)
     f = write(tmp_path, "g.graph", serialize_instance(inst).decode())
     code, out, _ = run(capsys, "verify", f, "--kind", "mest",
                        "--tie-break", "highest", "--json")
@@ -367,6 +386,24 @@ def test_verify_mest_uncertified_is_a_bound_violation(tmp_path, capsys,
     assert rep["ok"] is False
     code, out, _ = run(capsys, "batch", "--dir", str(tmp_path), "--kind", "mest",
                        "--tie-break", "highest", "--json")
+    assert code == 1
+    assert json.loads(out)["status"] == "bound-violation"
+
+
+def test_verify_mest_broken_schedule_is_a_bound_violation(tmp_path, capsys,
+                                                          monkeypatch):
+    # a schedule move the replay refuses fails the certificate (exit 1,
+    # bound-violation), not the input (exit 2, error)
+    monkeypatch.setattr(certify, "transform_tree", misfit_reversal)
+    f = write(tmp_path, "t.graph", TRIANGLE)
+    code, out, err = run(capsys, "verify", f, "--kind", "mest", "--json")
+    assert code == 1
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["beta_certified"] is False
+    assert rep["ok"] is False
+    code, out, _ = run(capsys, "batch", "--dir", str(tmp_path), "--kind", "mest",
+                       "--json")
     assert code == 1
     assert json.loads(out)["status"] == "bound-violation"
 
@@ -428,6 +465,14 @@ def test_batch_empty_dir(tmp_path, capsys):
     code, out, _ = run(capsys, "batch", "--dir", str(tmp_path))
     assert code == 0
     assert out == ""
+
+
+def test_batch_missing_dir_is_an_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    code, out, err = run(capsys, "batch", "--dir", missing, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")
 
 
 def test_unknown_kind_for_mesc_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from entcover import exact
+from entcover import certify, exact
 from entcover.core import (Cover, GroundSet, PolymatroidOracle,
                            check_polymatroid, entropy_from_weight,
                            subset_violation, validate_cover, weight_product)
@@ -26,6 +26,21 @@ PATH21 = GraphInstance(21, tuple((i, i + 1) for i in range(20)))
 
 def xs(opt):
     return tuple(c.x for c in opt.covers)
+
+
+def witness_trees(g, opt):
+    """The charged tree the β = 1 certificate builds for each optimum,
+    each checked to be a spanning tree of g charged exactly as its
+    cover says."""
+    o = mest_oracle(g)
+    trees = []
+    for c in opt.covers:
+        sol = certify._witness_tree(g, o, c.x)
+        assert len(sol.tree_edges) == g.n_vertices - 1
+        assert set(sol.tree_edges) <= set(g.edges)
+        assert sol.charge_vector() == c.x
+        trees.append(sol)
+    return trees
 
 
 def assert_valid_covers(oracle, opt):
@@ -282,9 +297,7 @@ def test_mest_path():
 def test_mest_triangle():
     opt = exact_mest(TRIANGLE)
     assert xs(opt) == ((0, 0, 2), (0, 2, 0), (2, 0, 0))
-    for sol, c in zip(opt.solutions, opt.covers):
-        assert len(sol.tree_edges) == 2
-        assert sol.charge_vector() == c.x
+    assert len(witness_trees(TRIANGLE, opt)) == 3
 
 
 def test_mest_route_agrees():
@@ -305,9 +318,7 @@ def test_mest_nine_vertices_matches_tree_enumeration():
         opt = exact_mest(g)
         assert xs(opt) == xs(ref), seed
         assert opt.entropy == ref.entropy, seed
-        for sol, c in zip(opt.solutions, opt.covers):
-            assert set(sol.tree_edges) <= set(g.edges)
-            assert sol.charge_vector() == c.x
+        witness_trees(g, opt)
         # exact_cover and exact_mest share one DP and one guard
         assert xs(exact_cover(mest_oracle(g))) == xs(opt), seed
 
@@ -320,17 +331,15 @@ def test_mest_ten_to_twelve_vertices_match_tree_dp():
                             extra_edge_prob=0.1)
         opt = exact_mest(g)
         assert opt.entropy == pytest.approx(exact_mest_entropy(g), abs=1e-12)
-        for sol, c in zip(opt.solutions, opt.covers):
-            assert set(sol.tree_edges) <= set(g.edges)
-            assert sol.charge_vector() == c.x
+        witness_trees(g, opt)
 
 
 def test_mest_wrong_tree_is_internal_error(monkeypatch):
     wrong = TreeCoverSolution(3, ((0, 1), (1, 2)), (0, 1))  # charged (1, 1, 0)
-    monkeypatch.setattr(exact, "complete_mest_solution",
+    monkeypatch.setattr(certify, "complete_mest_solution",
                         lambda inst, trace: wrong)
     with pytest.raises(RuntimeError, match="invariant broken"):
-        exact_mest(P3)
+        witness_trees(P3, exact_mest(P3))
 
 
 def test_tight_order_of_a_non_vertex_is_internal_error():
@@ -338,10 +347,10 @@ def test_tight_order_of_a_non_vertex_is_internal_error():
     # not a vertex of it: every singleton has f({j}) = 2 > 1
     o = mest_oracle(TRIANGLE)
     assert validate_cover(o, Cover((1, 1, 0)))[0]
-    f = [o.eval(mask) for mask in range(8)]
     with pytest.raises(RuntimeError, match="no tight step"):
-        exact._tight_order(f, (1, 1, 0))
-    assert exact._tight_order(f, (0, 2, 0)) == [1]
+        certify._witness_tree(TRIANGLE, o, (1, 1, 0))
+    sol = certify._witness_tree(TRIANGLE, o, (0, 2, 0))
+    assert sol.as_dict() == {(0, 1): 1, (1, 2): 1}
 
 
 def test_mest_guards():
@@ -350,6 +359,10 @@ def test_mest_guards():
         exact_mest(big)
     with pytest.raises(ValueError, match="connected"):
         exact_mest(GraphInstance(4, ((0, 1), (2, 3))))
+    # the oracle refuses a disconnected graph before the DP's guard runs
+    with pytest.raises(ValueError, match="connected") as err:
+        exact_mest(GraphInstance(17, tuple((i, i + 1) for i in range(15))))
+    assert not isinstance(err.value, GuardError)
 
 
 def test_mest_single_vertex():
@@ -404,8 +417,9 @@ def test_greedy_never_beats_exact():
             assert g >= exact_cover(mk(inst)).entropy - 1e-12, (kind, seed)
 
 
-def test_solutions_parallel_covers():
+def test_witness_trees_parallel_covers():
     for seed in range(10):
         g = generate_random('mest', seed)
         opt = exact_mest(g)
-        assert tuple(s.charge_vector() for s in opt.solutions) == xs(opt)
+        trees = witness_trees(g, opt)
+        assert tuple(s.charge_vector() for s in trees) == xs(opt)

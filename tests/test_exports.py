@@ -1,4 +1,8 @@
+import ast
+import dataclasses
+
 import entcover
+from entcover import exact
 
 
 def test_star_import_resolves_every_export():
@@ -11,3 +15,23 @@ def test_star_import_resolves_every_export():
     for gone in ("specialized_coefficients", "Distribution",
                  "OrientationSolution"):
         assert gone not in entcover.__all__, gone
+
+
+def test_optimum_is_entropy_and_covers():
+    # an optimum is the same shape for every family: no witness objects
+    names = [f.name for f in dataclasses.fields(entcover.Optimum)]
+    assert names == ["entropy", "covers"]
+
+
+def test_exact_layer_imports_no_greedy_or_certificate():
+    with open(exact.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    for gone in (".greedy", ".certify", "entcover.greedy", "entcover.certify"):
+        assert gone not in imported, gone
+    assert ".core" in imported and ".instances" in imported
