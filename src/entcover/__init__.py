@@ -4,20 +4,19 @@ constructive spanning-tree certificate.
 """
 
 from .core import (LOG2E, Cover, GroundSet, PolymatroidOracle,
-                   check_polymatroid, entropy, entropy_from_weight, popcount,
+                   check_polymatroid, entropy, entropy_from_weight,
                    validate_cover, weight_product)
 from .exact import GUARD_MSG, GuardError, Optimum, exact_assignment_mesc, \
     exact_cover, exact_mest, exact_mest_entropy, exact_orientation
 from .flow import (BoundReport, FlowNetwork, FlowResult, approximation_bound,
-                   build_alpha_network, check_assignment, extract_assignment,
-                   max_flow, min_alpha)
+                   build_alpha_network, max_flow, min_alpha)
 from .greedy import CoefficientTable, GreedyTrace, coefficients, run_greedy
 from .instances import (GadgetRoles, GraphInstance, SetCoverInstance,
                         TreeCoverSolution, complete_mest_solution, generate_random,
                         hardness_gadget, mesc_oracle, meo_oracle, mest_oracle,
                         parse_instance, realise_cover,
                         reduction_entropy_relation, serialize_instance)
-from .certify import (MultiLevelFlow, PathOrdering, TreeMove, apply_move,
+from .certify import (MultiLevelFlow, TreeMove, apply_move, canonical_order,
                       check_admissible, flow_respects_capacities,
                       is_spanning_tree, transform_tree, verify_beta_one)
 
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LOG2E", "GroundSet", "PolymatroidOracle", "Cover", "entropy",
-    "entropy_from_weight", "weight_product", "popcount", "validate_cover",
+    "entropy_from_weight", "weight_product", "validate_cover",
     "check_polymatroid",
     "SetCoverInstance", "GraphInstance", "TreeCoverSolution", "GadgetRoles",
     "mesc_oracle", "meo_oracle", "mest_oracle", "complete_mest_solution",
@@ -37,9 +36,9 @@ __all__ = [
     "exact_assignment_mesc", "exact_orientation", "exact_mest",
     "exact_mest_entropy",
     "FlowNetwork", "FlowResult", "max_flow", "build_alpha_network",
-    "extract_assignment", "check_assignment", "min_alpha", "BoundReport",
+    "min_alpha", "BoundReport",
     "approximation_bound",
-    "TreeMove", "MultiLevelFlow", "PathOrdering", "apply_move",
+    "TreeMove", "MultiLevelFlow", "canonical_order", "apply_move",
     "is_spanning_tree", "transform_tree", "check_admissible",
     "flow_respects_capacities", "verify_beta_one",
     "__version__",

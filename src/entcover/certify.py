@@ -2,20 +2,20 @@
 greedy one through charge-preserving moves, read the rewrite as a
 multi-level unit flow, and check that flow's bias and admissibility.
 
-The three moves on a charged tree (edge -> charged endpoint):
+The two moves on a charged tree (edge -> charged endpoint):
 
 * reversal (w1, w2): the tree edge {w1,w2} flips its charge w2 -> w1.
-* rotation (keep, out, new): tree edge {keep,out} charged at keep is
-  swapped for the non-tree edge {keep,new}, still charged at keep.
-* sliding (a, b, c): tree edge {b,c} charged at b is rotated to {a,b}
-  (charged b) and then reversed toward a.  Two levels.
+  One level: the unit moves w2 -> w1.
+* sliding (a, b, c): tree edge {b,c} charged at b is swapped for the
+  non-tree edge {a,b} (still charged b) and then reversed toward a.
+  Two levels: the unit stays at b, then moves b -> a.
 
-Each move transfers exactly one unit of charge between vertices (or
-keeps it in place for a rotation), so a schedule of moves is a
-multi-level flow with one transition per level.  The scheduler below
-removes each tree edge the greedy tree lacks by sliding charges along
-the unique tree path of some incoming greedy edge (a "cascade"), then
-fixes remaining charge orientations by plain reversals.
+apply_move is the one definition of a move's effect on the tree and
+TreeMove.arcs the one definition of its transitions, so a schedule of
+moves is a multi-level flow with one transition per level.  The
+scheduler below removes each tree edge the greedy tree lacks by sliding
+charges along the unique tree path of some incoming greedy edge (a
+"cascade"), then fixes remaining charge orientations by plain reversals.
 
 One odometer search over the scheduler's choices tries schedules in
 turn, up to SCHEDULE_ATTEMPTS of them.  A choice pairs a greedy edge
@@ -56,19 +56,24 @@ SCHEDULE_ATTEMPTS = 20000
 
 @dataclass(frozen=True)
 class TreeMove:
-    kind: str                  # "reversal" | "rotation" | "sliding"
-    vertices: Tuple[int, ...]  # (w1,w2) / (keep,out,new) / (a,b,c)
+    kind: str                  # "reversal" | "sliding"
+    vertices: Tuple[int, ...]  # (w1,w2) / (a,b,c)
 
     def __post_init__(self) -> None:
-        want = {"reversal": 2, "rotation": 3, "sliding": 3}
+        want = {"reversal": 2, "sliding": 3}
         if self.kind not in want:
             raise ValueError(f"unknown move kind '{self.kind}'")
         if len(self.vertices) != want[self.kind]:
             raise ValueError(f"{self.kind} takes {want[self.kind]} vertices")
 
     @property
-    def levels(self) -> int:
-        return 2 if self.kind == "sliding" else 1
+    def arcs(self) -> Tuple[Arc, ...]:
+        """The move's unit transitions, one per level."""
+        if self.kind == "reversal":
+            w1, w2 = self.vertices
+            return ((w2, w1),)
+        a, b, _ = self.vertices
+        return ((b, b), (b, a))
 
 
 def _edge_key(u: int, v: int) -> Edge:
@@ -77,9 +82,12 @@ def _edge_key(u: int, v: int) -> Edge:
 
 def apply_move(tree: Dict[Edge, int], move: TreeMove,
                graph_edges: frozenset) -> Dict[Edge, int]:
-    """Apply one move to an edge->charge mapping, returning a new mapping.
-    Raises ValueError("invariant broken") when the move does not fit the
-    tree (wrong orientation, missing edges, cycle)."""
+    """Apply one move to an edge->charge mapping, returning a new mapping;
+    this is the one definition of a move's effect on the tree.  Raises
+    ValueError("invariant broken") when the move does not fit the tree:
+    a reversal of an edge not charged at w2, or a sliding whose edge
+    {b,c} is not charged at b or whose edge {a,b} is not a graph edge
+    outside the tree."""
     out = dict(tree)
     if move.kind == "reversal":
         w1, w2 = move.vertices
@@ -88,16 +96,6 @@ def apply_move(tree: Dict[Edge, int], move: TreeMove,
             raise ValueError("invariant broken: reversal on edge not charged at w2")
         out[e] = w1
         return out
-    if move.kind == "rotation":
-        keep, drop, new = move.vertices
-        e_old, e_new = _edge_key(keep, drop), _edge_key(keep, new)
-        if out.get(e_old) != keep:
-            raise ValueError("invariant broken: rotation pivot does not hold the edge")
-        if e_new not in graph_edges or e_new in out:
-            raise ValueError("invariant broken: rotation target unavailable")
-        del out[e_old]
-        out[e_new] = keep
-        return out
     a, b, c = move.vertices
     e_bc, e_ab = _edge_key(b, c), _edge_key(a, b)
     if out.get(e_bc) != b:
@@ -105,36 +103,32 @@ def apply_move(tree: Dict[Edge, int], move: TreeMove,
     if e_ab not in graph_edges or e_ab in out:
         raise ValueError("invariant broken: sliding target unavailable")
     del out[e_bc]
-    out[e_ab] = a  # rotation to (a,b) charged b, then reversal toward a
+    out[e_ab] = a  # swap {b,c} for {a,b} charged b, then reverse toward a
     return out
 
 
 @dataclass(frozen=True)
 class MultiLevelFlow:
-    """One node per vertex per level; q transitions between q+1 levels.
-    Every path carries one unit and advances one level per transition."""
+    """One node per vertex per level; q = len(arcs) transitions between
+    q+1 levels.  Every path carries one unit and advances one level per
+    transition, so a level's per-vertex counts are its paths' entries."""
 
-    q: int
-    levels: Tuple[Tuple[int, ...], ...]   # q+1 per-vertex count vectors
     paths: Tuple[Tuple[int, ...], ...]    # each of length q+1
     arcs: Tuple[Arc, ...]                 # the transition arcs, length q
 
+    @property
+    def q(self) -> int:
+        return len(self.arcs)
 
-@dataclass(frozen=True)
-class PathOrdering:
-    """Total order on path indices: all cross-index paths before all
+
+def canonical_order(flow: MultiLevelFlow, rank: Sequence[int]) -> Tuple[int, ...]:
+    """Path ids in check order: all cross-index paths before all
     same-index paths; cross-index paths by ascending terminal rank."""
+    def sort_key(pid: int):
+        p = flow.paths[pid]
+        return (0 if p[0] != p[-1] else 1, rank[p[-1]], rank[p[0]], pid)
 
-    order: Tuple[int, ...]
-
-    @classmethod
-    def canonical(cls, flow: MultiLevelFlow, rank: Sequence[int]) -> "PathOrdering":
-        def sort_key(pid: int):
-            p = flow.paths[pid]
-            cross = p[0] != p[-1]
-            return (0 if cross else 1, rank[p[-1]], rank[p[0]], pid)
-
-        return cls(tuple(sorted(range(len(flow.paths)), key=sort_key)))
+    return tuple(sorted(range(len(flow.paths)), key=sort_key))
 
 
 class _Choices:
@@ -197,35 +191,24 @@ def _tree_path(adj: Dict[int, List[int]], frm: int, to: int) -> List[int]:
     return path[::-1]
 
 
-def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int],
+def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int], eset: frozenset,
                    rank: Sequence[int], coeffs: CoefficientTable, n_chosen: int,
-                   choices: _Choices) -> Tuple[List[TreeMove], List[Arc]]:
+                   choices: _Choices) -> List[TreeMove]:
     """One deterministic schedule attempt driven by the odometer.
     Transitions between chosen vertices with a zero coefficient capacity
     are allowed; avoiding them is the first scoring preference, and the
     unit-path decomposition alone decides."""
     cur = dict(t1)
     moves: List[TreeMove] = []
-    arcs: List[Arc] = []
 
     def blocked(u: int, w: int) -> bool:
         cap = _capacity(u, w, rank, coeffs, n_chosen)
         return cap is not None and cap < 1
 
-    def do_reversal(e: Edge, to: int) -> None:
-        frm = cur[e]
-        cur[e] = to
-        moves.append(TreeMove("reversal", (to, frm)))
-        arcs.append((frm, to))
-
-    def do_sliding(a: int, b: int, c: int) -> None:
-        e_bc = _edge_key(b, c)
-        if cur[e_bc] == c:
-            do_reversal(e_bc, b)  # pre-reversal, emitted as its own move
-        del cur[e_bc]
-        cur[_edge_key(a, b)] = a
-        moves.append(TreeMove("sliding", (a, b, c)))
-        arcs.extend(((b, b), (b, a)))
+    def do(move: TreeMove) -> None:
+        nonlocal cur
+        cur = apply_move(cur, move, eset)
+        moves.append(move)
 
     def penalty(path: List[int], s: int) -> int:
         # transitions the cascade would route across a zero capacity; each
@@ -266,14 +249,16 @@ def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int],
         alts.sort()  # the keys are unique, so paths are never compared
         _, path, s = alts[choices.pick(len(alts))]
         for a, b, c in _cascade(path, s):
-            do_sliding(a, b, c)
+            if cur[_edge_key(b, c)] == c:
+                do(TreeMove("reversal", (b, c)))  # pre-reversal, its own move
+            do(TreeMove("sliding", (a, b, c)))
 
     for e in sorted(tg, key=lambda e2: rank[tg[e2]]):
         if cur[e] != tg[e]:
-            do_reversal(e, tg[e])
+            do(TreeMove("reversal", (tg[e], cur[e])))
     if cur != tg:
         raise RuntimeError("invariant broken: schedule did not reach the greedy tree")
-    return moves, arcs
+    return moves
 
 
 def _capacity(u: int, w: int, rank: Sequence[int], coeffs: CoefficientTable,
@@ -294,16 +279,17 @@ def _endpoint_checks(flow: MultiLevelFlow, x0: Tuple[int, ...],
     starts), final loads within gamma, and first and last levels equal
     to x0 and gamma."""
     admissible, violating = check_admissible(
-        flow, PathOrdering.canonical(flow, rank), gamma)
-    loads = [0] * len(gamma)
+        flow, canonical_order(flow, rank), gamma)
+    starts, loads = [0] * len(gamma), [0] * len(gamma)
     for p in flow.paths:
+        starts[p[0]] += 1
         loads[p[-1]] += 1
     return {"admissible": admissible, "violating_path": violating,
             "endpoints_biased": all(rank[p[0]] >= rank[p[-1]]
                                     for p in flow.paths),
             "per_node_loads_ok": all(map(le, loads, gamma)),
-            "level_endpoints_ok": (flow.levels[0] == x0
-                                   and flow.levels[-1] == gamma)}
+            "level_endpoints_ok": (tuple(starts) == x0
+                                   and tuple(loads) == gamma)}
 
 
 def _endpoints_pass(checks: dict) -> bool:
@@ -311,7 +297,7 @@ def _endpoints_pass(checks: dict) -> bool:
                                    "per_node_loads_ok", "level_endpoints_ok"))
 
 
-def _replay(n: int, units: Sequence[int], arcs: Sequence[Arc],
+def _replay(units: Sequence[int], arcs: Sequence[Arc],
             takers: Sequence[int]) -> MultiLevelFlow:
     """The flow in which unit takers[t] makes transition t; a unit
     starts at units[i], and a transition u -> u moves no unit."""
@@ -322,28 +308,21 @@ def _replay(n: int, units: Sequence[int], arcs: Sequence[Arc],
             cur[takers[t]] = dst
         for p, v in zip(paths, cur):
             p.append(v)
-    levels = []
-    for t in range(len(arcs) + 1):
-        cnt = [0] * n
-        for p in paths:
-            cnt[p[t]] += 1
-        levels.append(tuple(cnt))
-    return MultiLevelFlow(len(arcs), tuple(levels),
-                          tuple(map(tuple, paths)), tuple(arcs))
+    return MultiLevelFlow(tuple(map(tuple, paths)), tuple(arcs))
 
 
-def _decompose(n: int, x0: Tuple[int, ...], gamma: Tuple[int, ...],
+def _decompose(x0: Tuple[int, ...], gamma: Tuple[int, ...],
                arcs: Sequence[Arc], rank: Sequence[int]
                ) -> Optional[MultiLevelFlow]:
     """The first flow, by backtracking over which unit takes each
     transition, that passes _endpoint_checks; None if none does."""
-    units = [v for v in range(n) for _ in range(x0[v])]
+    units = [v for v, k in enumerate(x0) for _ in range(k)]
     pos = list(units)
     takers = [-1] * len(arcs)
 
     def rec(t: int) -> Optional[MultiLevelFlow]:
         if t == len(arcs):
-            flow = _replay(n, units, arcs, takers)
+            flow = _replay(units, arcs, takers)
             return flow if _endpoints_pass(
                 _endpoint_checks(flow, x0, gamma, rank)) else None
         src, dst = arcs[t]
@@ -379,12 +358,14 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
     if greedy_sol.charge_vector() != trace.cover.x:
         raise ValueError("greedy solution charges disagree with the greedy trace")
     t1, tg, x0 = opt.as_dict(), greedy_sol.as_dict(), opt.charge_vector()
+    eset = frozenset(inst.edges)
     choices = _Choices()
     for _ in range(SCHEDULE_ATTEMPTS):
         choices.reset()
-        moves, arcs = _schedule_once(t1, tg, trace.rank, coeffs, trace.length,
-                                     choices)
-        flow = _decompose(inst.n_vertices, x0, trace.cover.x, arcs, trace.rank)
+        moves = _schedule_once(t1, tg, eset, trace.rank, coeffs, trace.length,
+                               choices)
+        arcs = [arc for mv in moves for arc in mv.arcs]
+        flow = _decompose(x0, trace.cover.x, arcs, trace.rank)
         if flow is not None or not choices.advance():
             break
     if flow is None:
@@ -404,17 +385,17 @@ def flow_respects_capacities(flow: MultiLevelFlow, coeffs: CoefficientTable,
     return True
 
 
-def check_admissible(flow: MultiLevelFlow, ordering: PathOrdering,
+def check_admissible(flow: MultiLevelFlow, order: Sequence[int],
                      greedy_values: Sequence[int]
                      ) -> Tuple[bool, Optional[int]]:
     """Admissibility: when a path from source j to terminal t is
     considered, the flow still waiting at j (this path and every later
     one from j) must fit within t's total final in-flow.  Returns the
-    first violating path id under the ordering, if any."""
+    first violating path id in ``order``, if any."""
     remaining: Dict[int, int] = {}
     for p in flow.paths:
         remaining[p[0]] = remaining.get(p[0], 0) + 1
-    for pid in ordering.order:
+    for pid in order:
         p = flow.paths[pid]
         j, t = p[0], p[-1]
         if remaining[j] > greedy_values[t]:
@@ -430,8 +411,8 @@ def _witness_tree(inst: GraphInstance, oracle: PolymatroidOracle,
     whose tight sets are closed under union and intersection, so its
     support has an order along which each marginal gain equals x_j,
     grown by the lowest such j at each step; complete_mest_solution
-    turns it into the tree.  A missing tight step or a tree charged
-    otherwise raises RuntimeError."""
+    turns it into the tree, charging step j's x_j edges to j.  A missing
+    tight step raises RuntimeError."""
     pending = [j for j, v in enumerate(x) if v]
     order: List[int] = []
     w = 0
@@ -444,12 +425,8 @@ def _witness_tree(inst: GraphInstance, oracle: PolymatroidOracle,
         pending.remove(j)
         order.append(j)
         w |= 1 << j
-    sol = complete_mest_solution(inst, GreedyTrace.from_chain(
+    return complete_mest_solution(inst, GreedyTrace.from_chain(
         inst.n_vertices, order, [x[j] for j in order]))
-    if sol.charge_vector() != x:
-        raise RuntimeError(f"invariant broken: the tree built for {x} "
-                           f"is charged {sol.charge_vector()}")
-    return sol
 
 
 def _witnesses(inst: GraphInstance, oracle: PolymatroidOracle, opt: Optimum,

@@ -9,7 +9,9 @@ Subcommands
 
 Exit codes: 0 all checks pass, 1 a bound, certificate or cover-validity
 check failed (or, in batch mode, an instance hit an internal error),
-2 input/parse error, 3 instance exceeds an exact-solver size guard.
+2 input/parse error, 3 instance exceeds an exact-solver size guard,
+141 stdout was closed early.  A batch exits with its most severe code:
+1 outranks 2, and 2 outranks 3.
 
 Reports carry units in their field names (_bits, _seconds).  --json
 emits one JSON object per line; the schema is documented in README.md.
@@ -28,14 +30,12 @@ from .core import (LOG2E, VALIDATE_MAX_M, PolymatroidOracle, entropy,
                    validate_cover)
 from .certify import verify_beta_one
 from .exact import GuardError, exact_cover
-from .flow import approximation_bound, min_alpha
+from .flow import TOL, approximation_bound, min_alpha
 from .greedy import _tie_key, coefficients, run_greedy
 from .instances import (GraphInstance, SetCoverInstance, generate_random,
                         hardness_gadget, mesc_oracle, meo_oracle, mest_oracle,
                         parse_instance, realise_cover,
                         reduction_entropy_relation, serialize_instance)
-
-TOL = 1e-9
 
 
 def _load(path: str):
@@ -120,7 +120,7 @@ def _verify_report(inst, kind: str, tie_break: str) -> dict:
     coeffs = coefficients(oracle, trace)
     alpha = min_alpha(trace, opt.covers, coeffs)
     n = oracle.total()
-    alpha_bound = approximation_bound(ent_g, opt.entropy, alpha, n, tol=TOL)
+    alpha_bound = approximation_bound(ent_g, opt.entropy, alpha, n)
     plain = ent_g <= opt.entropy + LOG2E + TOL
 
     report = _instance_summary(inst, kind)
@@ -152,13 +152,12 @@ def _verify_report(inst, kind: str, tie_break: str) -> dict:
     return report
 
 
-def _emit(report: dict, as_json: bool, out=None) -> None:
-    out = out or sys.stdout
+def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True), file=out)
+        print(json.dumps(report, sort_keys=True))
         return
     for key, val in report.items():
-        print(f"{key}: {val}", file=out)
+        print(f"{key}: {val}")
 
 
 def cmd_greedy(args) -> int:
@@ -279,7 +278,7 @@ def cmd_batch(args) -> int:
         raise ValueError("batch needs exactly one of --dir or --seeds A:B")
     if args.seeds is not None and args.kind is None:
         raise ValueError("--seeds requires --kind")
-    worst = 0
+    codes = set()
     for item in _batch_jobs(args):  # file-name order, or seed order
         report, code = _batch_one(item, args.kind, args.tie_break)
         if args.json:
@@ -291,11 +290,8 @@ def cmd_batch(args) -> int:
             if ent is not None:
                 line += f" greedy={ent:.6f} bits"
             print(line)
-        if code == 1:
-            worst = 1
-        elif code != 0 and worst == 0:
-            worst = code
-    return worst
+        codes.add(code)
+    return min(codes - {0}, default=0)  # 1 outranks 2, and 2 outranks 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,12 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "covers of polymatroids (set cover, orientation, spanning tree).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, kinds=True):
+    def add_common(p):
         p.add_argument("--tie-break", default="lowest",
                        help="lowest | highest | random:SEED (default lowest)")
-        if kinds:
-            p.add_argument("--kind", choices=("mesc", "meo", "mest"),
-                           help="graph files default to meo; mest must be explicit")
+        p.add_argument("--kind", choices=("mesc", "meo", "mest"),
+                       help="graph files default to meo; mest must be explicit")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("greedy", help="run the greedy solver on an instance file")
@@ -362,7 +357,14 @@ def main(argv=None) -> int:
     try:
         if "tie_break" in args:
             _check_tie_break(args.tie_break)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): exit as SIGPIPE would, and
+        # send what is still buffered to devnull so shutdown prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: exact solvers take at most 16 sets or vertices; shrink "

@@ -28,10 +28,6 @@ LOG2E = math.log2(math.e)
 VALIDATE_MAX_M = 24  # validate_cover reads all 2^m subsets
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """The set U of elements (players), identified by indices 0..m-1."""
@@ -46,9 +42,6 @@ class GroundSet:
     def universe(self) -> int:
         """Bitmask of the full ground set."""
         return (1 << self.m) - 1
-
-    def __iter__(self):
-        return iter(range(self.m))
 
 
 class PolymatroidOracle:
@@ -113,9 +106,6 @@ class Cover:
     @property
     def total(self) -> int:
         return sum(self.x)
-
-    def __len__(self) -> int:
-        return len(self.x)
 
 
 def entropy(cover: Cover) -> float:

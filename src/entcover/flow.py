@@ -19,6 +19,8 @@ from typing import List, Sequence, Tuple
 from .core import LOG2E, Cover
 from .greedy import CoefficientTable, GreedyTrace
 
+TOL = 1e-9  # float slack of every entropy-bound comparison, in bits
+
 
 @dataclass(frozen=True)
 class FlowNetwork:
@@ -117,31 +119,6 @@ def build_alpha_network(optimal: Cover, trace: GreedyTrace,
     return FlowNetwork(m + l + 2, tuple(arcs), src, sink)
 
 
-def extract_assignment(net: FlowNetwork, result: FlowResult, m: int,
-                       steps: int) -> Tuple[Tuple[int, ...], ...]:
-    """Read the middle-layer flows as a steps x m allocation matrix."""
-    z = [[0] * m for _ in range(steps)]
-    for (u, v, _cap), f in zip(net.arcs, result.flows):
-        if 1 <= u <= m and m + 1 <= v <= m + steps:
-            z[v - m - 1][u - 1] = f
-    return tuple(tuple(row) for row in z)
-
-
-def check_assignment(z: Sequence[Sequence[int]], optimal: Cover,
-                     coeffs: CoefficientTable) -> bool:
-    """The allocation constraints behind the covering coefficient:
-    columns sum to the optimal allocation, entries within coefficients."""
-    m = len(optimal.x)
-    for r, row in enumerate(z):
-        for j in range(m):
-            if not 0 <= row[j] <= coeffs.a[r][j]:
-                return False
-    for j in range(m):
-        if sum(row[j] for row in z) != optimal.x[j]:
-            return False
-    return True
-
-
 def min_alpha(trace: GreedyTrace, optimal_covers: Sequence[Cover],
               coeffs: CoefficientTable) -> Fraction:
     """Smallest scale factor admitting a full-value flow, as an exact
@@ -180,10 +157,10 @@ class BoundReport:
 
 
 def approximation_bound(ent_greedy: float, ent_opt: float, alpha: Fraction,
-                        n: int, tol: float = 1e-9) -> BoundReport:
+                        n: int) -> BoundReport:
     """The greedy-vs-optimal entropy bound at a given covering coefficient:
     greedy <= (1/alpha)(opt + log2 e) + (1 - 1/alpha) log2 n."""
     inv = 1.0 / float(alpha)
     rhs = inv * (ent_opt + LOG2E) + (1.0 - inv) * math.log2(n)
-    return BoundReport(ent_greedy, rhs, alpha, ent_greedy <= rhs + tol,
+    return BoundReport(ent_greedy, rhs, alpha, ent_greedy <= rhs + TOL,
                        rhs - ent_greedy)

@@ -172,10 +172,6 @@ class GraphInstance:
             seen |= frontier
         return seen == (1 << self.n_vertices) - 1
 
-    def neighbor_masks(self) -> List[int]:
-        """A fresh list of the neighbour masks nbr_masks."""
-        return list(self.nbr_masks)
-
     def neighbors(self, v: int) -> Tuple[int, ...]:
         if not 0 <= v < self.n_vertices:
             raise ValueError(f"vertex {v} out of range")
@@ -489,15 +485,6 @@ class GadgetRoles:
     aux_nodes: Tuple[int, ...]
     set_nodes: Tuple[int, ...]      # index i -> vertex of set i
     elem_nodes: Tuple[int, ...]     # index j -> vertex of element j
-
-    def role_of(self, v: int) -> str:
-        if v == self.r_node:
-            return "R"
-        if v in self.aux_nodes:
-            return "aux"
-        if v in self.set_nodes:
-            return f"set:{self.set_nodes.index(v)}"
-        return f"elem:{self.elem_nodes.index(v)}"
 
 
 def hardness_gadget(inst: SetCoverInstance) -> Tuple[GraphInstance, GadgetRoles]:

@@ -129,7 +129,7 @@ def test_criterion_3_alpha_bound():
                    for c in opt.covers), (kind, inst)
         a = min_alpha(trace, opt.covers, coefficients(o, trace))
         rep = approximation_bound(entropy(trace.cover), opt.entropy, a,
-                                  o.total(), tol=1e-9)
+                                  o.total())
         if not rep.holds:
             violations += 1
         checked += 1

@@ -2,8 +2,8 @@ import pytest
 from conftest import beta_certificate, misfit_reversal
 
 from entcover import certify
-from entcover.certify import (MultiLevelFlow, PathOrdering, TreeMove,
-                              _Choices, _schedule_once, apply_move,
+from entcover.certify import (MultiLevelFlow, TreeMove, _Choices,
+                              _schedule_once, apply_move, canonical_order,
                               check_admissible, flow_respects_capacities,
                               is_spanning_tree, transform_tree)
 from entcover.core import LOG2E, entropy
@@ -58,7 +58,6 @@ def bound_holds(trace, opt):
 class TestTreeMove:
     def test_arity_validation(self):
         TreeMove("reversal", (0, 1))
-        TreeMove("rotation", (0, 1, 2))
         TreeMove("sliding", (0, 1, 2))
         with pytest.raises(ValueError):
             TreeMove("reversal", (0, 1, 2))
@@ -68,9 +67,16 @@ class TestTreeMove:
             TreeMove("teleport", (0, 1))
 
     def test_levels(self):
-        assert TreeMove("reversal", (0, 1)).levels == 1
-        assert TreeMove("rotation", (0, 1, 2)).levels == 1
-        assert TreeMove("sliding", (0, 1, 2)).levels == 2
+        # one transition per level: a reversal moves its unit w2 -> w1; a
+        # sliding keeps it at b for the swap, then moves it b -> a
+        assert TreeMove("reversal", (0, 1)).arcs == ((1, 0),)
+        assert TreeMove("sliding", (0, 1, 2)).arcs == ((1, 1), (1, 0))
+
+    def test_refuses_rotation(self):
+        # a sliding is a swap followed by a reversal, emitted as one move;
+        # no move swaps an edge on its own
+        with pytest.raises(ValueError, match="unknown move kind 'rotation'"):
+            TreeMove("rotation", (2, 1, 0))
 
 
 class TestApplyMove:
@@ -85,21 +91,19 @@ class TestApplyMove:
         with pytest.raises(ValueError, match="invariant broken"):
             apply_move(tree, TreeMove("reversal", (1, 0)), frozenset({(0, 1)}))
 
-    def test_rotation(self):
-        # tree 0-1, 1-2 inside the triangle; rotate edge (1,2)@2 out for (0,2)@2
-        tree = {(0, 1): 1, (1, 2): 2}
-        out = apply_move(tree, TreeMove("rotation", (2, 1, 0)),
-                         frozenset(TRIANGLE.edges))
-        assert out == {(0, 1): 1, (0, 2): 2}
-
-    def test_rotation_needs_graph_edge(self):
-        tree = {(0, 1): 1, (1, 2): 2}
-        with pytest.raises(ValueError, match="invariant broken"):
-            apply_move(tree, TreeMove("rotation", (2, 1, 0)),
-                       frozenset({(0, 1), (1, 2)}))
+    def test_sliding_needs_graph_edge(self):
+        # sliding (0,1,2) swaps (1,2)@1 for (0,1), which the path 0-2-1
+        # lacks; the same move is refused when (0,1) is already in the tree
+        tree = {(0, 2): 2, (1, 2): 1}
+        with pytest.raises(ValueError, match="sliding target unavailable"):
+            apply_move(tree, TreeMove("sliding", (0, 1, 2)),
+                       frozenset({(0, 2), (1, 2)}))
+        with pytest.raises(ValueError, match="sliding target unavailable"):
+            apply_move({(0, 1): 0, (1, 2): 1}, TreeMove("sliding", (0, 1, 2)),
+                       frozenset(TRIANGLE.edges))
 
     def test_sliding(self):
-        # rotation then reversal: (1,2)@1 replaced by (0,1)@0
+        # swap then reversal: (1,2)@1 replaced by (0,1)@0
         tree = {(0, 2): 2, (1, 2): 1}
         out = apply_move(tree, TreeMove("sliding", (0, 1, 2)),
                          frozenset(TRIANGLE.edges))
@@ -107,7 +111,7 @@ class TestApplyMove:
 
     def test_sliding_needs_charge_at_pivot(self):
         tree = {(0, 2): 2, (1, 2): 2}  # charged at far end, not at b
-        with pytest.raises(ValueError, match="invariant broken"):
+        with pytest.raises(ValueError, match="sliding edge not charged at b"):
             apply_move(tree, TreeMove("sliding", (0, 1, 2)),
                        frozenset(TRIANGLE.edges))
 
@@ -121,23 +125,22 @@ def test_is_spanning_tree():
 
 class TestAdmissibility:
     def test_identity_flow_admissible(self):
-        flow = MultiLevelFlow(0, (), (), ())
-        ordering = PathOrdering(())
-        ok, pid = check_admissible(flow, ordering, [2, 1, 0])
+        flow = MultiLevelFlow((), ())
+        ok, pid = check_admissible(flow, canonical_order(flow, [0, 1, 2]),
+                                   [2, 1, 0])
         assert ok and pid is None
 
     def test_hand_built_violation(self):
         # two units leave node 1 but its terminal only ever holds 1
-        flow = MultiLevelFlow(2, ((2,), (0,)), ((1, 0), (1, 0)),
-                              (((1, 0), (1, 0)),))
-        ordering = PathOrdering((0, 1))
-        ok, pid = check_admissible(flow, ordering, [1, 2])
+        flow = MultiLevelFlow(((1, 0), (1, 0)), ((1, 0),))
+        assert canonical_order(flow, [1, 2]) == (0, 1)
+        ok, pid = check_admissible(flow, (0, 1), [1, 2])
         assert not ok
         assert pid == 0
 
     def test_single_unit_fits(self):
-        flow = MultiLevelFlow(1, ((1,), (0,)), ((1, 0),), (((1, 0),),))
-        ok, pid = check_admissible(flow, PathOrdering((0,)), [1, 2])
+        flow = MultiLevelFlow(((1, 0),), ((1, 0),))
+        ok, pid = check_admissible(flow, (0,), [1, 2])
         assert ok
 
 
@@ -165,17 +168,17 @@ class TestTransform:
         assert cur == sol.as_dict()
 
     def test_flow_levels_count_arcs(self):
-        sol, trace, coeffs = greedy_tree(TRIANGLE)
-        _, trees = witness_trees(TRIANGLE)
-        others = [s for s in trees
-                  if set(s.tree_edges) != set(sol.tree_edges)]
-        moves, flow = transform_tree(TRIANGLE, others[0], sol, trace, coeffs)
-        assert len(flow.arcs) == flow.q
-        assert len(flow.levels) == flow.q + 1
-        for p in flow.paths:
-            assert len(p) == flow.q + 1
-        # total moved levels match the schedule's levels
-        assert flow.q == sum(mv.levels for mv in moves)
+        # the flow's transitions are the moves' arcs in schedule order,
+        # and every path visits all q + 1 levels
+        for inst in [TRIANGLE] + [generate_random("mest", seed,
+                                                  n_vertices=5 + seed % 3)
+                                  for seed in range(12)]:
+            sol, trace, coeffs = greedy_tree(inst)
+            for witness in witness_trees(inst)[1]:
+                moves, flow = transform_tree(inst, witness, sol, trace, coeffs)
+                assert flow.arcs == tuple(a for mv in moves for a in mv.arcs)
+                assert flow.q == len(flow.arcs)
+                assert all(len(p) == flow.q + 1 for p in flow.paths)
 
     def test_rejects_greedy_sol_charged_unlike_trace(self):
         sol, trace, coeffs = greedy_tree(P3)  # both edges charged at vertex 1
@@ -208,8 +211,10 @@ class TestTransform:
         assert rep["certified"] and len(calls) == 1
         witness = witness_trees(g)[1][rep["witness_index"]]
         sol, _, coeffs = greedy_tree(g, "highest")
-        _, arcs = _schedule_once(witness.as_dict(), sol.as_dict(), trace.rank,
-                                 coeffs, trace.length, _Choices())
+        moves = _schedule_once(witness.as_dict(), sol.as_dict(),
+                               frozenset(g.edges), trace.rank, coeffs,
+                               trace.length, _Choices())
+        arcs = [a for mv in moves for a in mv.arcs]
         x0 = witness.charge_vector()
         pos = [v for v in range(g.n_vertices) for _ in range(x0[v])]
         units = list(pos)
@@ -224,8 +229,8 @@ class TestTransform:
         # replacement, which no pair of spanning trees can do
         sol, trace, coeffs = greedy_tree(P3)
         with pytest.raises(RuntimeError, match="no crossing greedy edge"):
-            _schedule_once(sol.as_dict(), {(0, 1): 1}, trace.rank, coeffs,
-                           trace.length, _Choices())
+            _schedule_once(sol.as_dict(), {(0, 1): 1}, frozenset(P3.edges),
+                           trace.rank, coeffs, trace.length, _Choices())
 
 
 class TestVerifyBetaOne:
@@ -349,5 +354,5 @@ def test_flow_respects_capacities_empty():
     o = mest_oracle(P3)
     trace = run_greedy(o)
     coeffs = coefficients(o, trace)
-    flow = MultiLevelFlow(0, ((0, 2, 0),), ((1,), (1,)), ())
+    flow = MultiLevelFlow(((1,), (1,)), ())
     assert flow_respects_capacities(flow, coeffs, trace.rank, trace.length)

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -459,6 +462,37 @@ def test_batch_dir_guard_skips(tmp_path, capsys):
     rows = {json.loads(l)["id"]: json.loads(l) for l in out.strip().splitlines()}
     assert rows["big.mesc"]["status"] == "skipped"
     assert rows["ok.mesc"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("bad, big", [("a.mesc", "b.mesc"),
+                                      ("b.mesc", "a.mesc")])
+def test_batch_code_is_the_most_severe_in_any_order(tmp_path, capsys, bad, big):
+    # an input error (2) outranks a guard skip (3) whichever file sorts first
+    write(tmp_path, bad, "not an instance\n")
+    write(tmp_path, big, BIG_MESC)
+    code, out, _ = run(capsys, "batch", "--dir", str(tmp_path), "--json")
+    assert code == 2
+    rows = {json.loads(l)["id"]: json.loads(l) for l in out.strip().splitlines()}
+    assert rows[bad]["status"] == "error"
+    assert rows[big]["status"] == "skipped"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # a reader that stops after one line (`| head -1`) is not a bound
+    # violation: exit as SIGPIPE would, with nothing on stderr
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entcover.cli", "batch", "--seeds", "1:400",
+         "--kind", "meo", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["id"] == "meo-0001"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_batch_empty_dir(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from entcover.core import (LOG2E, Cover, GroundSet,
                            PolymatroidOracle, check_polymatroid, entropy,
                            entropy_from_weight, polymatroid_violation,
-                           popcount, subset_violation, validate_cover,
+                           subset_violation, validate_cover,
                            weight_product)
 from entcover.instances import GraphInstance, SetCoverInstance, \
     generate_random, mesc_oracle, meo_oracle, mest_oracle
@@ -27,11 +27,10 @@ def test_ground_set_bounds():
     with pytest.raises(ValueError):
         GroundSet(-1)
     assert GroundSet(3).universe == 0b111
-    assert list(GroundSet(4)) == [0, 1, 2, 3]
 
 
 def test_oracle_eval_guard():
-    o = make_oracle(2, popcount)
+    o = make_oracle(2, int.bit_count)
     assert o.eval(0b11) == 2
     assert o.total() == 2
     with pytest.raises(ValueError):
@@ -107,10 +106,10 @@ def test_validate_cover_accepts_and_witnesses():
 
 
 def test_validate_cover_guards():
-    o = make_oracle(25, popcount)
+    o = make_oracle(25, int.bit_count)
     with pytest.raises(ValueError, match="exhaustive validation infeasible"):
         validate_cover(o, Cover(tuple([1] * 25)))
-    o2 = make_oracle(2, popcount)
+    o2 = make_oracle(2, int.bit_count)
     with pytest.raises(ValueError):
         validate_cover(o2, Cover((1, 1, 1)))  # length mismatch
 
@@ -150,7 +149,7 @@ def test_check_polymatroid_passes_on_real_oracles():
 
 def test_check_polymatroid_rejects_square():
     # f(S) = |S|^2 is supermodular
-    o = make_oracle(2, lambda s: popcount(s) ** 2)
+    o = make_oracle(2, lambda s: s.bit_count() ** 2)
     ok, witness = check_polymatroid(o)
     assert not ok
     s, t = witness
@@ -170,7 +169,7 @@ def o_contains(s, t):
 
 
 def test_check_polymatroid_rejects_bad_empty():
-    ok, witness = check_polymatroid(make_oracle(2, lambda s: popcount(s) + 1))
+    ok, witness = check_polymatroid(make_oracle(2, lambda s: s.bit_count() + 1))
     assert not ok and witness == (0, 0)
 
 
@@ -254,7 +253,7 @@ def test_subset_violation_is_first_violated_subset():
 
 def test_check_polymatroid_guard():
     with pytest.raises(ValueError):
-        check_polymatroid(make_oracle(17, popcount))
+        check_polymatroid(make_oracle(17, int.bit_count))
 
 
 def test_log2e_constant():

@@ -13,8 +13,8 @@ from entcover.exact import (GUARD_MSG, GuardError, exact_assignment_mesc,
                             exact_cover, exact_mest, exact_mest_entropy,
                             exact_orientation)
 from entcover.instances import (GraphInstance, SetCoverInstance,
-                                TreeCoverSolution, generate_random,
-                                mesc_oracle, meo_oracle, mest_oracle)
+                                generate_random, mesc_oracle, meo_oracle,
+                                mest_oracle)
 from cover_reference import optimal_covers
 from mest_reference import mest_by_tree_enumeration
 
@@ -332,14 +332,6 @@ def test_mest_ten_to_twelve_vertices_match_tree_dp():
         opt = exact_mest(g)
         assert opt.entropy == pytest.approx(exact_mest_entropy(g), abs=1e-12)
         witness_trees(g, opt)
-
-
-def test_mest_wrong_tree_is_internal_error(monkeypatch):
-    wrong = TreeCoverSolution(3, ((0, 1), (1, 2)), (0, 1))  # charged (1, 1, 0)
-    monkeypatch.setattr(certify, "complete_mest_solution",
-                        lambda inst, trace: wrong)
-    with pytest.raises(RuntimeError, match="invariant broken"):
-        witness_trees(P3, exact_mest(P3))
 
 
 def test_tight_order_of_a_non_vertex_is_internal_error():

@@ -13,14 +13,22 @@ def test_star_import_resolves_every_export():
     for name in entcover.__all__:
         assert names[name] is getattr(entcover, name), name
     for gone in ("specialized_coefficients", "Distribution",
-                 "OrientationSolution"):
+                 "OrientationSolution", "popcount", "extract_assignment",
+                 "check_assignment", "PathOrdering"):
         assert gone not in entcover.__all__, gone
+        assert not hasattr(entcover, gone), gone
 
 
 def test_optimum_is_entropy_and_covers():
     # an optimum is the same shape for every family: no witness objects
     names = [f.name for f in dataclasses.fields(entcover.Optimum)]
     assert names == ["entropy", "covers"]
+
+
+def test_flow_is_its_paths_and_arcs():
+    # level counts and q follow from the paths and arcs, so only they are kept
+    names = [f.name for f in dataclasses.fields(entcover.MultiLevelFlow)]
+    assert names == ["paths", "arcs"]
 
 
 def test_exact_layer_imports_no_greedy_or_certificate():

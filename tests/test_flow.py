@@ -5,8 +5,7 @@ from fractions import Fraction
 from entcover.core import LOG2E, entropy
 from entcover.exact import exact_cover
 from entcover.flow import (FlowNetwork, approximation_bound,
-                           build_alpha_network, check_assignment,
-                           extract_assignment, max_flow, min_alpha)
+                           build_alpha_network, max_flow, min_alpha)
 from entcover.greedy import coefficients, run_greedy
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 generate_random, mesc_oracle, meo_oracle,
@@ -116,25 +115,6 @@ class AlphaNetwork(unittest.TestCase):
     def test_dimension_mismatch(self):
         with self.assertRaises(ValueError):
             build_alpha_network(self.opt.covers[0], self.trace, self.coeffs, [1])
-
-    def test_extract_and_check_assignment(self):
-        n = self.oracle.total()
-        cover = self.opt.covers[0]
-        net = build_alpha_network(cover, self.trace, self.coeffs,
-                                  list(self.trace.deltas))
-        res = max_flow(net)
-        self.assertEqual(res.value, n)
-        z = extract_assignment(net, res, self.oracle.m, self.trace.length)
-        self.assertTrue(check_assignment(z, cover, self.coeffs))
-        # perturbing any positive entry breaks the column-sum constraint
-        rows = [list(r) for r in z]
-        for r in range(len(rows)):
-            for j in range(len(rows[r])):
-                if rows[r][j] > 0:
-                    rows[r][j] -= 1
-                    self.assertFalse(check_assignment(rows, cover, self.coeffs))
-                    return
-        self.fail("no positive entry found")
 
 
 class MinAlpha(unittest.TestCase):

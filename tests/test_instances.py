@@ -152,7 +152,7 @@ class InstanceValidation(unittest.TestCase):
             scan = [tuple(sorted(b if a == v else a for (a, b) in edges if v in (a, b)))
                     for v in range(n)]
             self.assertEqual([g.neighbors(v) for v in range(n)], scan)
-            self.assertEqual(g.neighbor_masks(),
+            self.assertEqual(list(g.nbr_masks),
                              [sum(1 << u for u in nb) for nb in scan])
 
 
@@ -194,9 +194,12 @@ class Gadget(unittest.TestCase):
         self.assertEqual(g.n_vertices, 10)
         self.assertEqual(len(g.edges), (2 + 3 - 1) + 2 + 4)
         self.assertTrue(g.is_connected())
-        self.assertEqual(roles.role_of(0), "R")
-        self.assertEqual(roles.role_of(roles.set_nodes[1]), "set:1")
-        self.assertEqual(roles.role_of(roles.elem_nodes[2]), "elem:2")
+        self.assertEqual(roles.r_node, 0)
+        self.assertEqual((len(roles.set_nodes), len(roles.elem_nodes)), (2, 3))
+        # every vertex has exactly one role
+        self.assertEqual(sorted((roles.r_node,) + roles.aux_nodes
+                                + roles.set_nodes + roles.elem_nodes),
+                         list(range(g.n_vertices)))
 
     def test_counts_closed_form(self):
         for seed in range(50):
@@ -410,10 +413,6 @@ def test_derived_masks_match_the_fields():
             got = getattr(g, name)
             assert type(got) is tuple, name
             assert got == tuple(want[name]), (name, g)
-        fresh = g.neighbor_masks()
-        assert isinstance(fresh, list) and fresh == want["nbr_masks"]
-        fresh.append(-1)
-        assert g.neighbor_masks() == want["nbr_masks"]
 
 
 def test_derived_masks_stay_out_of_eq_hash_and_repr():
