@@ -118,8 +118,9 @@ def entropy(cover: Cover) -> float:
     if n <= 0:
         raise ValueError("degenerate cover")
     # fsum: the result is independent of term order, so permuting the
-    # cover permutes nothing
-    return -math.fsum((v / n) * math.log2(v / n) for v in cover.x if v)
+    # cover permutes nothing; 0.0 - x, unlike -x, gives +0.0, not -0.0,
+    # for a cover with one nonzero entry
+    return 0.0 - math.fsum((v / n) * math.log2(v / n) for v in cover.x if v)
 
 
 def weight_product(x: Sequence[int]) -> int:

@@ -17,16 +17,18 @@ optimal integer cover is a vertex of the base polytope, and every
 vertex is the greedy vector of some element order (Edmonds 1970).  So
 the optimum is the best chain through the subset lattice, found by the
 Held-Karp subset DP (Held & Karp 1962) in O(m 2^m) steps, whatever
-f(U) is.  Both facts need a polymatroid: the DP first checks the axioms
-on the whole f-table it reads, in O(m^2) big-int steps over 2^m packed
-lanes, and refuses any other set function with ValueError.  The family
-oracles build that table by a subset recursion over their masks
-(PolymatroidOracle.table).  The check is also what lets the DP stop a
-chain early: f is then monotone, so once a chain reaches f(S) = f(U)
-every later gain is 0, and only the states with f(S) < f(U) are
-expanded.  On a polymatroid every chain's vector is a valid cover, so
-the optima are not checked again.  The size guard bounds the DP's
-work: m 2^m at most EXACT_MAX_WORK, that is m <= 16.
+f(U) is: one pass records the heaviest last steps into every state,
+and the optimal covers are read back along them.  Both facts need a
+polymatroid: the DP first checks the axioms on the whole f-table it
+reads, in O(m^2) big-int steps over 2^m packed lanes, and refuses any
+other set function with ValueError.  The family oracles build that
+table by a subset recursion over their masks (PolymatroidOracle.table).
+The check is also what lets the DP stop a chain early: f is then
+monotone, so once a chain reaches f(S) = f(U) every later gain is 0,
+and only the states with f(S) < f(U) are expanded.  On a polymatroid
+every chain's vector is a valid cover, so the optima are not checked
+again.  The size guard bounds the DP's work: m 2^m at most
+EXACT_MAX_WORK, that is m <= 16.
 
 Optima are selected by maximizing the integer weight prod x_j^{x_j},
 which orders covers exactly opposite to entropy for a fixed total, so
@@ -36,6 +38,7 @@ ties are resolved without floating-point comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
@@ -73,23 +76,23 @@ def exact_cover(oracle: PolymatroidOracle) -> Optimum:
     naming a counterexample pair otherwise).  The check proves f
     monotone, so once a chain reaches f(S) = f(U) every later gain is 0
     and adds a factor 0^0 = 1: the chain ends there.  So only the open
-    states, f(S) < f(U), are expanded, marked and carried; every subset
-    of an open state is open.  For them best[S], the largest weight of
-    a chain from the empty set to S, is
+    states, f(S) < f(U), are expanded; every subset of an open state is
+    open.  One pass over them, in ascending mask order, finds best[S],
+    the largest weight of a chain from the empty set to S,
 
         best[S] = max_j best[S - j] * d^d,   d = f(S) - f(S - j),
 
-    and a chain that ends by a step from P weighs best[P] * r^r, with
-    r = f(U) - f(P).  The optimum's weight is the largest such end, and
-    the optimal covers are the vectors of the chains that attain it.
-    Open states on such chains are marked walking back from their ends;
-    then each size layer of marked states carries its distinct partial
-    vectors forward to the next, and every step from a carried state P
-    to f(U) finishes a cover.  That end is optimal: best[P] * r^r is at
-    least the weight of any chain through P, since a^a b^b <= (a+b)^(a+b).
-    The covers are returned in ascending order.  Each is a chain's
-    greedy vector, a vertex of the checked polymatroid's base polytope,
-    so a valid cover as it is.
+    and ties[S], the steps j that attain it.  A chain that ends by a
+    step from P weighs best[P] * r^r, with r = f(U) - f(P); the pass
+    records that weight and those final steps, and top is the largest
+    such weight.  The covers are then read back from the ends of weight
+    top, along ties[S] down to the empty set.  Every prefix of an
+    optimal chain is a heaviest chain to its last state, so this reads
+    back exactly the optimal chains; and the end from any state P on
+    one weighs top, as best[P] * r^r bounds every chain through P
+    (a^a b^b <= (a+b)^(a+b)).  The covers are returned in ascending
+    order.  Each is a chain's greedy vector, a vertex of the checked
+    polymatroid's base polytope, so a valid cover as it is.
     """
     m = oracle.m
     if m << m > EXACT_MAX_WORK:
@@ -104,46 +107,37 @@ def exact_cover(oracle: PolymatroidOracle) -> Optimum:
                          f"and {bad[1]} violate the axioms")
     self_pow = [v ** v for v in range(total + 1)]  # 0^0 = 1
     bits = [1 << j for j in range(m)]
-    opened = list(compress(range(len(f)), map(total.__gt__, f)))
     best = [1] * len(f)
-    for s in opened[1:]:
+    ties = [0] * len(f)  # the last steps of the heaviest chains to S
+    ends = {}  # P -> (best[P] * r^r, the steps from P that reach f(U))
+    for s in compress(range(len(f)), map(total.__gt__, f)):
         fs = f[s]
-        best[s] = max([best[s ^ b] * self_pow[fs - f[s ^ b]]
-                       for b in bits if s & b])
-    # the weight of each chain end: an open state one step below f(U)
-    end_weight = {p: best[p] * self_pow[total - f[p]] for p in opened
-                  if total in [f[p | b] for b in bits]}
-    top = max(end_weight.values())
-    # mark the open states on some optimal chain, from its end down
-    on = bytearray(len(f))
-    for p, v in end_weight.items():
-        on[p] = v == top
-    for s in reversed(opened):
-        if on[s]:
-            fs, bs = f[s], best[s]
-            for b in bits:
-                if s & b and best[s ^ b] * self_pow[fs - f[s ^ b]] == bs:
-                    on[s ^ b] = 1
-    # carry each marked state's partial vectors up one layer at a time,
-    # each packed into an int with x_j in bits [j w, (j + 1) w)
+        if s:
+            last = [best[s ^ b] * self_pow[fs - f[s ^ b]] if s & b else 0
+                    for b in bits]
+            best[s] = bs = max(last)
+            ties[s] = sum(compress(bits, [v == bs for v in last]))
+        done = sum([b for b in bits if f[s | b] == total])
+        if done:
+            ends[s] = (best[s] * self_pow[total - fs], done)
+    top = max(ends.values())[0]
+    # each vector packed into an int, x_j in bits [j w, (j + 1) w)
     w = total.bit_length()
-    found: set = set()
-    layer = {0: {0}}
-    while layer:
-        nxt: Dict[int, set] = {}
-        for p, vecs in layer.items():
-            fp, bp = f[p], best[p]
-            for j, b in enumerate(bits):
-                s = p | b
-                if s == p:
-                    continue
-                d = f[s] - fp
-                if f[s] == total:  # an optimal chain ends here
-                    found.update(map((d << j * w).__add__, vecs))
-                elif on[s] and bp * self_pow[d] == best[s]:
-                    nxt.setdefault(s, set()).update(
-                        map((d << j * w).__add__, vecs))
-        layer = nxt
+
+    @cache
+    def vectors(s: int) -> set:
+        """The packed vectors of the heaviest chains from the empty set
+        to s, read back along their tying last steps."""
+        if not s:
+            return {0}
+        return set().union(*[
+            map(((f[s] - f[s ^ b]) << j * w).__add__, vectors(s ^ b))
+            for j, b in enumerate(bits) if ties[s] & b])
+
+    found = set().union(*[
+        map(((total - f[p]) << j * w).__add__, vectors(p))
+        for p, (v, steps) in ends.items() if v == top
+        for j, b in enumerate(bits) if steps & b])
     low = (1 << w) - 1
     covers = tuple(Cover(x) for x in sorted(
         tuple(v >> j * w & low for j in range(m)) for v in found))

@@ -14,6 +14,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
+from itertools import groupby, repeat
 from typing import List, Sequence, Tuple
 
 from .core import LOG2E, Cover
@@ -137,8 +139,10 @@ def min_alpha(trace: GreedyTrace, optimal_covers: Sequence[Cover],
         raise ValueError("need at least one optimal cover")
     n = trace.cover.total
     deltas = trace.deltas
-    cands = sorted({Fraction(c, d) for d in deltas for c in range(d, n + 1)})
-    for alpha in cands:
+    # the candidates c/d, d <= c <= n, each once in ascending order, are
+    # built only as probed: one ascending run per distinct d, merged
+    runs = [map(Fraction, range(d, n + 1), repeat(d)) for d in set(deltas)]
+    for alpha, _ in groupby(merge(*runs)):
         caps = [(alpha.numerator * d) // alpha.denominator for d in deltas]
         for cover in optimal_covers:
             net = build_alpha_network(cover, trace, coeffs, caps)

@@ -546,10 +546,10 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
     """Parse the line-oriented instance format; '#' starts a comment.
 
     Raises ValueError mentioning the 1-based line number on malformed
-    input.  The parser checks the text and leaves each set and edge to
-    the instance constructor, so of several faults it names a text
-    fault first, in file order, then the first refused set in file
-    order or edge in sorted order.
+    input.  The parser checks the text, a set line repeating an element
+    included, and leaves each set and edge to the instance constructor,
+    so of several faults it names a text fault first, in file order,
+    then the first refused set in file order or edge in sorted order.
     """
     if isinstance(data, bytes):
         try:
@@ -590,9 +590,13 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
         cls, items = SetCoverInstance, []
         for ln, body in rows[1:]:
             try:
-                items.append(frozenset(map(int, body.split())))
+                elems = list(map(int, body.split()))
             except ValueError:
                 raise ValueError(f"line {ln}: non-integer element index") from None
+            items.append(frozenset(elems))
+            if len(items[-1]) < len(elems):
+                dup = next(e for i, e in enumerate(elems) if e in elems[:i])
+                raise ValueError(f"line {ln}: duplicate element {dup}")
         lines = [ln for ln, _ in rows[1:]]
     else:
         cls, pairs = GraphInstance, []

@@ -195,6 +195,20 @@ def test_verify_mest_beta_fields(tmp_path, capsys):
     assert isinstance(rep["beta_levels"], int)
 
 
+def test_zero_entropy_reports_print_no_negative_zero(tmp_path, capsys):
+    # a one-edge graph: the greedy cover has one nonzero entry
+    f = write(tmp_path, "e.graph", "graph 2 1\n0 1\n")
+    for kind in ("meo", "mest"):
+        code, out, _ = run(capsys, "verify", f, "--kind", kind, "--json")
+        assert code == 0
+        assert "-0.0" not in out
+        assert json.loads(out)["greedy_entropy_bits"] == 0.0
+    code, out, _ = run(capsys, "greedy", write(tmp_path, "s.mesc", "mesc 1 2\n0 1\n"),
+                       "--json")
+    assert code == 0
+    assert "-0.0" not in out
+
+
 BIG_MESC = "mesc 17 20\n0 17 18 19\n" + "\n".join(str(i) for i in range(1, 17)) + "\n"
 
 

@@ -42,6 +42,9 @@ def test_entropy_known_value():
     assert entropy(Cover((2, 1, 0))) == pytest.approx(0.9182958340544896, abs=1e-12)
     assert entropy(Cover((1, 1, 1))) == pytest.approx(math.log2(3), abs=1e-12)
     assert entropy(Cover((3, 0, 0))) == 0.0
+    # +0.0, not -0.0, which reports would print as "-0.0"
+    assert math.copysign(1.0, entropy(Cover((3,)))) == 1.0
+    assert math.copysign(1.0, entropy(Cover((0, 3, 0)))) == 1.0
 
 
 def test_entropy_degenerate():

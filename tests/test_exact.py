@@ -183,10 +183,31 @@ def test_non_polymatroid_is_refused_with_a_counterexample():
     assert refused > 60
 
 
+def complete_graph(n):
+    return GraphInstance(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def cycle_graph(n):
+    return GraphInstance(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
+
+
+def symmetric_oracles():
+    """Oracles on which many predecessors of a state attain its best
+    weight, so the tying last steps decide every optimum."""
+    yield from (meo_oracle(cycle_graph(n)) for n in (8, 9, 10))
+    yield from (mest_oracle(cycle_graph(n)) for n in (8, 9, 10))
+    yield from (mest_oracle(complete_graph(n)) for n in (6, 7))
+    yield meo_oracle(complete_graph(5))
+    # 4 disjoint pairs of identical 2-element sets
+    yield mesc_oracle(SetCoverInstance(8, tuple(
+        frozenset({2 * (i // 2), 2 * (i // 2) + 1}) for i in range(8))))
+
+
 def test_dp_matches_reference_enumerator():
-    # 1,000 seeded oracles, m = 3-7: same covers in the same order,
-    # bit-identical entropy.  Dense mest and a set holding the whole
-    # universe reach f(U) early, where the DP ends its chains.
+    # 1,000 seeded oracles, m = 3-7, and ten symmetric ones, m = 5-10:
+    # same covers in the same order, bit-identical entropy.  Dense mest
+    # and a set holding the whole universe reach f(U) early, where the
+    # DP ends its chains.
     count = 0
     for seed in range(200):
         sets = generate_random('mesc', 4000 + seed, m=2 + seed % 5,
@@ -210,7 +231,14 @@ def test_dp_matches_reference_enumerator():
             assert opt.entropy == ref.entropy, (seed, o.m)
             assert_valid_covers(o, opt)
             count += 1
-    assert count == 1000
+    for o in symmetric_oracles():
+        opt, ref = exact_cover(o), optimal_covers(o)
+        assert xs(opt) == xs(ref), o.m
+        assert opt.entropy == ref.entropy, o.m
+        assert len(opt.covers) > 1, o.m
+        assert_valid_covers(o, opt)
+        count += 1
+    assert count == 1010
 
 
 def test_many_optima_at_sixteen_sets():
@@ -371,10 +399,6 @@ def test_mest_entropy_shortcut():
     assert exact_mest_entropy(star12) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(GuardError, match=GUARD_MSG):
         exact_mest_entropy(PATH21)
-
-
-def complete_graph(n):
-    return GraphInstance(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def test_mest_entropy_guard_counts_spanning_trees():

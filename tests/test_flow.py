@@ -172,6 +172,16 @@ class MinAlpha(unittest.TestCase):
                 a = min_alpha(trace, opt.covers, coefficients(o, trace))
                 self.assertGreaterEqual(a, 1, (kind, seed))
 
+    def test_alpha_above_one(self):
+        # the highest-index greedy run on this spanning-tree instance
+        # needs alpha = 3/2: the sweep goes past 1 and stops at 3/2
+        g = generate_random("mest", 278, n_vertices=8, extra_edge_prob=0.3)
+        o = mest_oracle(g)
+        trace = run_greedy(o, tie_break="highest")
+        opt = exact_cover(o)
+        self.assertEqual(min_alpha(trace, opt.covers, coefficients(o, trace)),
+                         Fraction(3, 2))
+
 
 class ApproximationBound(unittest.TestCase):
     def test_formula_unit_alpha(self):

@@ -314,6 +314,7 @@ PARSE_FAULTS = [
     (b"graph 31 3\n12 30\n0 1\n30 12\n", "line 4: duplicate edge (12, 30)"),
     (b"graph 0 1\n0 1\n", "line 2: vertex out of range 0..-1"),
     (b"graph 0 0\n", "line 1: graph must have at least one vertex"),
+    (b"mesc 2 3\n0 0 1\n2\n", "line 2: duplicate element 0"),
 ]
 
 
@@ -328,6 +329,13 @@ def test_two_edge_faults_name_the_first_in_sorted_order():
     # in sorted edge order, which is where GraphInstance checks them
     with pytest.raises(ValueError, match=r"^line 3: self-loop at 1$"):
         parse_instance("graph 4 2\n3 9\n1 1\n")
+
+
+def test_a_repeated_element_is_named_before_a_refused_set():
+    # the first element that repeats an earlier one is named; like every
+    # text fault it comes before the sets the constructor refuses
+    with pytest.raises(ValueError, match=r"^line 3: duplicate element 2$"):
+        parse_instance("mesc 2 3\n0 9\n1 2 0 2 1\n")
 
 
 class Generators(unittest.TestCase):
