@@ -17,15 +17,17 @@ scheduler below removes each tree edge the greedy tree lacks by sliding
 charges along the unique tree path of some incoming greedy edge (a
 "cascade"), then fixes remaining charge orientations by plain reversals.
 
-One odometer search over the scheduler's choices tries schedules in
-turn, up to SCHEDULE_ATTEMPTS of them.  A choice pairs a greedy edge
-outside the current tree with a tree edge on its tree path (exactly the
-tree edges whose cut it crosses) and a direction.  Alternatives that
-route fewer units across a zero coefficient-table capacity (between two
-greedy-chosen vertices) come first; capacity is a preference, not a
-gate.  A backtracking search then gives each transition to one unit of
-charge, and the schedule is accepted with the first flow that passes
-_endpoint_checks, the one check of the flow's endpoint rules that
+Two depth-first generators do the search.  _schedules yields every
+schedule; transform_tree tries at most SCHEDULE_ATTEMPTS of them.  At
+each decision point it pairs a greedy edge outside the current tree
+with a tree edge on its tree path (exactly the tree edges whose cut it
+crosses) and a direction, tries the alternatives in order, and recurses
+once per cascade.  Alternatives that route fewer units across a zero
+coefficient-table capacity (between two greedy-chosen vertices) come
+first; capacity is a preference, not a gate.  _flows yields every way
+to give each transition to one unit of charge, backtracking once per
+transition.  transform_tree accepts the first schedule and flow that
+pass _endpoint_checks, the one check of the flow's endpoint rules that
 verify_beta_one also reports: admissibility, bias, final loads and the
 first and last levels.  The first schedule and the first candidate flow
 succeed on most instances.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import le
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -131,40 +134,6 @@ def canonical_order(flow: MultiLevelFlow, rank: Sequence[int]) -> Tuple[int, ...
     return tuple(sorted(range(len(flow.paths)), key=sort_key))
 
 
-class _Choices:
-    """Odometer over the decision points discovered during one schedule
-    attempt; advancing flips the most recent decision first."""
-
-    def __init__(self) -> None:
-        self.fixed: List[int] = []
-        self.radix: List[int] = []
-        self.ptr = 0
-
-    def reset(self) -> None:
-        self.ptr = 0
-
-    def pick(self, n_alts: int) -> int:
-        i = self.ptr
-        if i == len(self.fixed):
-            self.fixed.append(0)
-            self.radix.append(n_alts)
-        else:
-            self.radix[i] = n_alts
-        self.ptr += 1
-        return self.fixed[i]
-
-    def advance(self) -> bool:
-        # drop decision points past the last one actually consulted
-        del self.fixed[self.ptr:], self.radix[self.ptr:]
-        while self.fixed:
-            self.fixed[-1] += 1
-            if self.fixed[-1] < self.radix[-1]:
-                return True
-            self.fixed.pop()
-            self.radix.pop()
-        return False
-
-
 def _cascade(path: Sequence[int], s: int) -> Iterator[Tuple[int, int, int]]:
     """The slidings (a, b, c) that bring the greedy edge {path[0], path[-1]}
     into the tree and drop the tree edge {path[s], path[s+1]}: from the
@@ -191,24 +160,32 @@ def _tree_path(adj: Dict[int, List[int]], frm: int, to: int) -> List[int]:
     return path[::-1]
 
 
-def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int], eset: frozenset,
-                   rank: Sequence[int], coeffs: CoefficientTable, n_chosen: int,
-                   choices: _Choices) -> List[TreeMove]:
-    """One deterministic schedule attempt driven by the odometer.
-    Transitions between chosen vertices with a zero coefficient capacity
-    are allowed; avoiding them is the first scoring preference, and the
-    unit-path decomposition alone decides."""
-    cur = dict(t1)
-    moves: List[TreeMove] = []
+def _schedules(cur: Dict[Edge, int], tg: Dict[Edge, int], eset: frozenset,
+               rank: Sequence[int], coeffs: CoefficientTable, n_chosen: int,
+               moves: Tuple[TreeMove, ...] = ()
+               ) -> Iterator[Tuple[TreeMove, ...]]:
+    """Every move schedule from cur to the greedy tree tg, depth first,
+    each appended to ``moves``.  Transitions between chosen vertices with
+    a zero coefficient capacity are allowed; avoiding them is the first
+    scoring preference, and the unit-path decomposition alone decides."""
+    def reach(step: List[TreeMove]) -> Dict[Edge, int]:
+        tree = cur
+        for move in step:
+            tree = apply_move(tree, move, eset)
+        return tree
+
+    if set(cur) == set(tg):
+        fixup = [TreeMove("reversal", (tg[e], cur[e]))
+                 for e in sorted(tg, key=lambda e2: rank[tg[e2]])
+                 if cur[e] != tg[e]]
+        if reach(fixup) != tg:
+            raise RuntimeError("invariant broken: schedule did not reach the greedy tree")
+        yield moves + tuple(fixup)
+        return
 
     def blocked(u: int, w: int) -> bool:
         cap = _capacity(u, w, rank, coeffs, n_chosen)
         return cap is not None and cap < 1
-
-    def do(move: TreeMove) -> None:
-        nonlocal cur
-        cur = apply_move(cur, move, eset)
-        moves.append(move)
 
     def penalty(path: List[int], s: int) -> int:
         # transitions the cascade would route across a zero capacity; each
@@ -216,49 +193,44 @@ def _schedule_once(t1: Dict[Edge, int], tg: Dict[Edge, int], eset: frozenset,
         return sum((cur[_edge_key(b, c)] == c and blocked(c, b))
                    + blocked(b, a) for a, b, c in _cascade(path, s))
 
-    while set(cur) != set(tg):
-        cand = sorted((e for e in cur if e not in tg),
-                      key=lambda e2: (-max(rank[e2[0]], rank[e2[1]]), e2))
-        cand_index = {e: i for i, e in enumerate(cand)}
-        adj: Dict[int, List[int]] = {}
-        for (u, v) in cur:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        alts = []
-        for d in tg:
-            if d in cur:
+    cand = sorted((e for e in cur if e not in tg),
+                  key=lambda e2: (-max(rank[e2[0]], rank[e2[1]]), e2))
+    cand_index = {e: i for i, e in enumerate(cand)}
+    adj: Dict[int, List[int]] = {}
+    for (u, v) in cur:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    alts = []
+    for d in tg:
+        if d in cur:
+            continue
+        # d crosses a tree edge's cut exactly when that edge lies on
+        # d's tree path
+        path = _tree_path(adj, d[0], d[1])
+        back = path[::-1]
+        last = len(path) - 1
+        for i in range(last):
+            e = _edge_key(path[i], path[i + 1])
+            if e not in cand_index:
                 continue
-            # d crosses a tree edge's cut exactly when that edge lies on
-            # d's tree path
-            path = _tree_path(adj, d[0], d[1])
-            back = path[::-1]
-            last = len(path) - 1
-            for i in range(last):
-                e = _edge_key(path[i], path[i + 1])
-                if e not in cand_index:
-                    continue
-                for direction, p, s in ((0, path, i), (1, back, last - 1 - i)):
-                    # prefer charging the new greedy edge where the greedy
-                    # tree does NOT charge it: the fixup reversal then runs
-                    # downhill
-                    key = (penalty(p, s), cand_index[e],
-                           0 if p[0] != tg[d] else 1, d, direction)
-                    alts.append((key, p, s))
-        if not alts:
-            raise RuntimeError("invariant broken: no crossing greedy edge exists")
-        alts.sort()  # the keys are unique, so paths are never compared
-        _, path, s = alts[choices.pick(len(alts))]
+            for direction, p, s in ((0, path, i), (1, back, last - 1 - i)):
+                # prefer charging the new greedy edge where the greedy
+                # tree does NOT charge it: the fixup reversal then runs
+                # downhill
+                key = (penalty(p, s), cand_index[e],
+                       0 if p[0] != tg[d] else 1, d, direction)
+                alts.append((key, p, s))
+    if not alts:
+        raise RuntimeError("invariant broken: no crossing greedy edge exists")
+    alts.sort()  # the keys are unique, so paths are never compared
+    for _, path, s in alts:
+        step = []  # the cascade; each {b,c} is still an edge of cur
         for a, b, c in _cascade(path, s):
             if cur[_edge_key(b, c)] == c:
-                do(TreeMove("reversal", (b, c)))  # pre-reversal, its own move
-            do(TreeMove("sliding", (a, b, c)))
-
-    for e in sorted(tg, key=lambda e2: rank[tg[e2]]):
-        if cur[e] != tg[e]:
-            do(TreeMove("reversal", (tg[e], cur[e])))
-    if cur != tg:
-        raise RuntimeError("invariant broken: schedule did not reach the greedy tree")
-    return moves
+                step.append(TreeMove("reversal", (b, c)))  # pre-reversal
+            step.append(TreeMove("sliding", (a, b, c)))
+        yield from _schedules(reach(step), tg, eset, rank, coeffs, n_chosen,
+                              moves + tuple(step))
 
 
 def _capacity(u: int, w: int, rank: Sequence[int], coeffs: CoefficientTable,
@@ -311,34 +283,31 @@ def _replay(units: Sequence[int], arcs: Sequence[Arc],
     return MultiLevelFlow(tuple(map(tuple, paths)), tuple(arcs))
 
 
-def _decompose(x0: Tuple[int, ...], gamma: Tuple[int, ...],
-               arcs: Sequence[Arc], rank: Sequence[int]
-               ) -> Optional[MultiLevelFlow]:
-    """The first flow, by backtracking over which unit takes each
-    transition, that passes _endpoint_checks; None if none does."""
+def _flows(x0: Tuple[int, ...], arcs: Sequence[Arc]
+           ) -> Iterator[MultiLevelFlow]:
+    """Every flow of the units x0 along arcs, by backtracking over which
+    unit takes each transition; units that started at one vertex and
+    stand at one vertex are interchangeable, so only the first is tried."""
     units = [v for v, k in enumerate(x0) for _ in range(k)]
     pos = list(units)
     takers = [-1] * len(arcs)
 
-    def rec(t: int) -> Optional[MultiLevelFlow]:
+    def rec(t: int) -> Iterator[MultiLevelFlow]:
         if t == len(arcs):
-            flow = _replay(units, arcs, takers)
-            return flow if _endpoints_pass(
-                _endpoint_checks(flow, x0, gamma, rank)) else None
+            yield _replay(units, arcs, takers)
+            return
         src, dst = arcs[t]
         if src == dst:
-            return rec(t + 1)
+            yield from rec(t + 1)
+            return
         tried = set()
         for i, p in enumerate(pos):
             if p == src and units[i] not in tried:
                 tried.add(units[i])
                 pos[i] = dst
                 takers[t] = i
-                flow = rec(t + 1)
-                if flow is not None:
-                    return flow
+                yield from rec(t + 1)
                 pos[i] = src
-        return None
 
     return rec(0)
 
@@ -355,22 +324,16 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
     ValueError when ``greedy_sol`` is charged unlike ``trace.cover``, and
     LookupError when no schedule within SCHEDULE_ATTEMPTS certifies.
     """
-    if greedy_sol.charge_vector() != trace.cover.x:
+    x0, gamma, rank = opt.charge_vector(), trace.cover.x, trace.rank
+    if greedy_sol.charge_vector() != gamma:
         raise ValueError("greedy solution charges disagree with the greedy trace")
-    t1, tg, x0 = opt.as_dict(), greedy_sol.as_dict(), opt.charge_vector()
-    eset = frozenset(inst.edges)
-    choices = _Choices()
-    for _ in range(SCHEDULE_ATTEMPTS):
-        choices.reset()
-        moves = _schedule_once(t1, tg, eset, trace.rank, coeffs, trace.length,
-                               choices)
-        arcs = [arc for mv in moves for arc in mv.arcs]
-        flow = _decompose(x0, trace.cover.x, arcs, trace.rank)
-        if flow is not None or not choices.advance():
-            break
-    if flow is None:
-        raise LookupError("no certifiable schedule found")
-    return tuple(moves), flow
+    for moves in islice(_schedules(opt.as_dict(), greedy_sol.as_dict(),
+                                   frozenset(inst.edges), rank, coeffs,
+                                   trace.length), SCHEDULE_ATTEMPTS):
+        for flow in _flows(x0, [arc for mv in moves for arc in mv.arcs]):
+            if _endpoints_pass(_endpoint_checks(flow, x0, gamma, rank)):
+                return moves, flow
+    raise LookupError("no certifiable schedule found")
 
 
 def flow_respects_capacities(flow: MultiLevelFlow, coeffs: CoefficientTable,

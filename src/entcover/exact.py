@@ -17,12 +17,13 @@ optimal integer cover is a vertex of the base polytope, and every
 vertex is the greedy vector of some element order (Edmonds 1970).  So
 the optimum is the best chain through the subset lattice, found by the
 Held-Karp subset DP (Held & Karp 1962) in O(m 2^m) steps, whatever
-f(U) is: one pass records the heaviest last steps into every state,
-and the optimal covers are read back along them.  Both facts need a
-polymatroid: the DP first checks the axioms on the whole f-table it
-reads, in O(m^2) big-int steps over 2^m packed lanes, and refuses any
-other set function with ValueError.  The family oracles build that
-table by a subset recursion over their masks (PolymatroidOracle.table).
+f(U) is: one pass records the heaviest chain weight into every state,
+and the optimal covers are read back along the steps that attain it.
+Both facts need a polymatroid: the DP first checks the axioms on the
+whole f-table it reads, in O(m^2) big-int steps over 2^m packed lanes,
+and refuses any other set function with ValueError.  The family
+oracles build that table by a subset recursion over their masks
+(PolymatroidOracle.table).
 The check is also what lets the DP stop a chain early: f is then
 monotone, so once a chain reaches f(S) = f(U) every later gain is 0,
 and only the states with f(S) < f(U) are expanded.  On a polymatroid
@@ -80,13 +81,14 @@ def exact_cover(oracle: PolymatroidOracle) -> Optimum:
     open.  One pass over them, in ascending mask order, finds best[S],
     the largest weight of a chain from the empty set to S,
 
-        best[S] = max_j best[S - j] * d^d,   d = f(S) - f(S - j),
+        best[S] = max_j best[S - j] * d^d,   d = f(S) - f(S - j).
 
-    and ties[S], the steps j that attain it.  A chain that ends by a
-    step from P weighs best[P] * r^r, with r = f(U) - f(P); the pass
-    records that weight and those final steps, and top is the largest
-    such weight.  The covers are then read back from the ends of weight
-    top, along ties[S] down to the empty set.  Every prefix of an
+    A chain that ends by a step from P weighs best[P] * r^r, with
+    r = f(U) - f(P); the pass records that weight and those final
+    steps, and top is the largest such weight.  The covers are then
+    read back from the ends of weight top down to the empty set, along
+    each state's tying last steps, the j that attain best[S]; they are
+    found only at the states the read-back visits.  Every prefix of an
     optimal chain is a heaviest chain to its last state, so this reads
     back exactly the optimal chains; and the end from any state P on
     one weighs top, as best[P] * r^r bounds every chain through P
@@ -108,15 +110,12 @@ def exact_cover(oracle: PolymatroidOracle) -> Optimum:
     self_pow = [v ** v for v in range(total + 1)]  # 0^0 = 1
     bits = [1 << j for j in range(m)]
     best = [1] * len(f)
-    ties = [0] * len(f)  # the last steps of the heaviest chains to S
     ends = {}  # P -> (best[P] * r^r, the steps from P that reach f(U))
     for s in compress(range(len(f)), map(total.__gt__, f)):
         fs = f[s]
         if s:
-            last = [best[s ^ b] * self_pow[fs - f[s ^ b]] if s & b else 0
-                    for b in bits]
-            best[s] = bs = max(last)
-            ties[s] = sum(compress(bits, [v == bs for v in last]))
+            best[s] = max([best[s ^ b] * self_pow[fs - f[s ^ b]]
+                           for b in bits if s & b])
         done = sum([b for b in bits if f[s | b] == total])
         if done:
             ends[s] = (best[s] * self_pow[total - fs], done)
@@ -130,9 +129,10 @@ def exact_cover(oracle: PolymatroidOracle) -> Optimum:
         to s, read back along their tying last steps."""
         if not s:
             return {0}
+        steps = [(j, b, f[s] - f[s ^ b]) for j, b in enumerate(bits) if s & b]
         return set().union(*[
-            map(((f[s] - f[s ^ b]) << j * w).__add__, vectors(s ^ b))
-            for j, b in enumerate(bits) if ties[s] & b])
+            map((d << j * w).__add__, vectors(s ^ b))
+            for j, b, d in steps if best[s ^ b] * self_pow[d] == best[s]])
 
     found = set().union(*[
         map(((total - f[p]) << j * w).__add__, vectors(p))

@@ -32,6 +32,11 @@ class FlowNetwork:
     sink: int
 
     def __post_init__(self) -> None:
+        for name, node in (("source", self.source), ("sink", self.sink)):
+            if not 0 <= node < self.n_nodes:
+                raise ValueError(f"{name} {node} out of range")
+        if self.source == self.sink:
+            raise ValueError("source and sink coincide")
         for (u, v, cap) in self.arcs:
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
                 raise ValueError(f"arc ({u},{v}) out of range")

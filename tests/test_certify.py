@@ -2,10 +2,10 @@ import pytest
 from conftest import beta_certificate, misfit_reversal
 
 from entcover import certify
-from entcover.certify import (MultiLevelFlow, TreeMove, _Choices,
-                              _schedule_once, apply_move, canonical_order,
-                              check_admissible, flow_respects_capacities,
-                              is_spanning_tree, transform_tree)
+from entcover.certify import (MultiLevelFlow, TreeMove, _schedules,
+                              apply_move, canonical_order, check_admissible,
+                              flow_respects_capacities, is_spanning_tree,
+                              transform_tree)
 from entcover.core import LOG2E, entropy
 from entcover.exact import Optimum, exact_mest
 from entcover.greedy import coefficients, run_greedy
@@ -33,15 +33,16 @@ def witness_trees(inst):
 
 
 def count_schedules(monkeypatch):
-    """Record every _schedule_once call transform_tree makes."""
+    """Record every _flows call transform_tree makes: one per schedule
+    it tries."""
     calls = []
-    schedule_once = certify._schedule_once
+    flows = certify._flows
 
     def counted(*args):
         calls.append(args)
-        return schedule_once(*args)
+        return flows(*args)
 
-    monkeypatch.setattr(certify, "_schedule_once", counted)
+    monkeypatch.setattr(certify, "_flows", counted)
     return calls
 
 
@@ -194,12 +195,24 @@ class TestTransform:
 
     def test_second_schedule_certifies(self, monkeypatch):
         # the first schedule's transitions admit no certifying flow, so
-        # the odometer advances once and the second schedule certifies
+        # the schedule search backtracks once and the second certifies
         g = generate_random("mest", 267, n_vertices=7, extra_edge_prob=0.3)
         sol, trace, coeffs = greedy_tree(g)
         calls = count_schedules(monkeypatch)
         transform_tree(g, witness_trees(g)[1][0], sol, trace, coeffs)
         assert len(calls) == 2
+
+    def test_schedule_budget(self, monkeypatch):
+        # the same witness needs two schedules: a budget of one gives up
+        g = generate_random("mest", 267, n_vertices=7, extra_edge_prob=0.3)
+        sol, trace, coeffs = greedy_tree(g)
+        witness = witness_trees(g)[1][0]
+        assert certify.SCHEDULE_ATTEMPTS == 20000
+        monkeypatch.setattr(certify, "SCHEDULE_ATTEMPTS", 1)
+        with pytest.raises(LookupError, match="no certifiable schedule found"):
+            transform_tree(g, witness, sol, trace, coeffs)
+        monkeypatch.setattr(certify, "SCHEDULE_ATTEMPTS", 2)
+        transform_tree(g, witness, sol, trace, coeffs)
 
     def test_flow_search_backtracks(self, monkeypatch):
         # the flow search first gives each transition to the first unit
@@ -211,9 +224,9 @@ class TestTransform:
         assert rep["certified"] and len(calls) == 1
         witness = witness_trees(g)[1][rep["witness_index"]]
         sol, _, coeffs = greedy_tree(g, "highest")
-        moves = _schedule_once(witness.as_dict(), sol.as_dict(),
-                               frozenset(g.edges), trace.rank, coeffs,
-                               trace.length, _Choices())
+        moves = next(_schedules(witness.as_dict(), sol.as_dict(),
+                                frozenset(g.edges), trace.rank, coeffs,
+                                trace.length))
         arcs = [a for mv in moves for a in mv.arcs]
         x0 = witness.charge_vector()
         pos = [v for v in range(g.n_vertices) for _ in range(x0[v])]
@@ -229,8 +242,8 @@ class TestTransform:
         # replacement, which no pair of spanning trees can do
         sol, trace, coeffs = greedy_tree(P3)
         with pytest.raises(RuntimeError, match="no crossing greedy edge"):
-            _schedule_once(sol.as_dict(), {(0, 1): 1}, frozenset(P3.edges),
-                           trace.rank, coeffs, trace.length, _Choices())
+            next(_schedules(sol.as_dict(), {(0, 1): 1}, frozenset(P3.edges),
+                            trace.rank, coeffs, trace.length))
 
 
 class TestVerifyBetaOne:
@@ -326,6 +339,17 @@ class TestVerifyBetaOne:
         assert rep["intermediate_trees_ok"] is False
         assert rep["reaches_greedy"] is False
         assert rep["moves"][-1]["kind"] == "reversal"
+
+    @pytest.mark.parametrize("tie_break, n_moves, levels", [
+        ("lowest", 43, 70), ("highest", 46, 75)])
+    def test_at_verify_size_limit(self, tie_break, n_moves, levels):
+        # 16 vertices, the most verify's exact layer takes: the deepest
+        # schedule search the CLI runs
+        g = generate_random("mest", 6, n_vertices=16, extra_edge_prob=0.3)
+        rep, trace, opt = beta_certificate(g, tie_break)
+        assert rep["certified"]
+        assert len(rep["moves"]) == n_moves and rep["levels"] == levels
+        assert bound_holds(trace, opt)
 
     def test_seeded_batch(self):
         for seed in range(50):

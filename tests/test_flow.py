@@ -83,6 +83,15 @@ class NetworkValidation(unittest.TestCase):
         with self.assertRaises(ValueError):
             FlowNetwork(2, ((0, 5, 1),), 0, 1)
 
+    def test_bad_terminals(self):
+        # refused at construction: max_flow never returned on a source
+        # of -1, and failed on a sink past the nodes or equal to the source
+        for source, sink, msg in ((-1, 2, "source -1 out of range"),
+                                  (0, 7, "sink 7 out of range"),
+                                  (1, 1, "source and sink coincide")):
+            with self.assertRaisesRegex(ValueError, msg):
+                FlowNetwork(3, ((0, 1, 5),), source, sink)
+
 
 class AlphaNetwork(unittest.TestCase):
     def setUp(self):
