@@ -16,9 +16,9 @@ from .instances import (GadgetRoles, GraphInstance, SetCoverInstance,
                         hardness_gadget, mesc_oracle, meo_oracle, mest_oracle,
                         parse_instance, realise_cover,
                         reduction_entropy_relation, serialize_instance)
-from .certify import (MultiLevelFlow, TreeMove, apply_move, canonical_order,
-                      check_admissible, flow_respects_capacities,
-                      is_spanning_tree, transform_tree, verify_beta_one)
+from .certify import (MultiLevelFlow, TreeMove, apply_move,
+                      flow_respects_capacities, is_spanning_tree,
+                      transform_tree, verify_beta_one)
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,7 @@ __all__ = [
     "FlowNetwork", "FlowResult", "max_flow", "build_alpha_network",
     "min_alpha", "BoundReport",
     "approximation_bound",
-    "TreeMove", "MultiLevelFlow", "canonical_order", "apply_move",
-    "is_spanning_tree", "transform_tree", "check_admissible",
-    "flow_respects_capacities", "verify_beta_one",
+    "TreeMove", "MultiLevelFlow", "apply_move", "is_spanning_tree",
+    "transform_tree", "flow_respects_capacities", "verify_beta_one",
     "__version__",
 ]

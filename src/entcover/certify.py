@@ -26,10 +26,13 @@ once per cascade.  Alternatives that route fewer units across a zero
 coefficient-table capacity (between two greedy-chosen vertices) come
 first; capacity is a preference, not a gate.  _flows yields every way
 to give each transition to one unit of charge, backtracking once per
-transition.  transform_tree accepts the first schedule and flow that
-pass _endpoint_checks, the one check of the flow's endpoint rules that
+transition.  Every rule the certificate checks on a flow reads only
+where each unit's path starts and ends, so a candidate flow is just its
+(start, end) pairs.  transform_tree accepts the first schedule and
+candidate that pass _endpoint_checks, the one check of those rules that
 verify_beta_one also reports: admissibility, bias, final loads and the
-first and last levels.  The first schedule and the first candidate flow
+first and last levels; it builds the path table (_replay) once, for the
+candidate it accepts.  The first schedule and the first candidate
 succeed on most instances.
 
 verify_beta_one checks the certificate on the oracle, greedy trace,
@@ -122,16 +125,6 @@ class MultiLevelFlow:
     @property
     def q(self) -> int:
         return len(self.arcs)
-
-
-def canonical_order(flow: MultiLevelFlow, rank: Sequence[int]) -> Tuple[int, ...]:
-    """Path ids in check order: all cross-index paths before all
-    same-index paths; cross-index paths by ascending terminal rank."""
-    def sort_key(pid: int):
-        p = flow.paths[pid]
-        return (0 if p[0] != p[-1] else 1, rank[p[-1]], rank[p[0]], pid)
-
-    return tuple(sorted(range(len(flow.paths)), key=sort_key))
 
 
 def _cascade(path: Sequence[int], s: int) -> Iterator[Tuple[int, int, int]]:
@@ -243,22 +236,34 @@ def _capacity(u: int, w: int, rank: Sequence[int], coeffs: CoefficientTable,
     return coeffs.a[rank[w] - 1][u]
 
 
-def _endpoint_checks(flow: MultiLevelFlow, x0: Tuple[int, ...],
+def _endpoint_checks(ends: Sequence[Arc], x0: Tuple[int, ...],
                      gamma: Tuple[int, ...], rank: Sequence[int]) -> dict:
-    """The flow's endpoint rules, under the report fields that name
-    them: admissibility under the canonical ordering (and the first
-    violating path), bias (no path ends higher in greedy rank than it
-    starts), final loads within gamma, and first and last levels equal
-    to x0 and gamma."""
-    admissible, violating = check_admissible(
-        flow, canonical_order(flow, rank), gamma)
+    """The endpoint rules of a flow whose path i runs from ends[i][0] to
+    ends[i][1], under the report fields that name them: admissibility
+    (and the first violating path), bias (no path ends higher in greedy
+    rank than it starts), final loads within gamma, and first and last
+    levels equal to x0 and gamma.  Admissibility takes the paths in
+    canonical order (cross-index paths first, then by terminal rank,
+    source rank and id); the flow still waiting at a path's source j,
+    this path included, must fit within its terminal t's load gamma[t]."""
     starts, loads = [0] * len(gamma), [0] * len(gamma)
-    for p in flow.paths:
-        starts[p[0]] += 1
-        loads[p[-1]] += 1
-    return {"admissible": admissible, "violating_path": violating,
-            "endpoints_biased": all(rank[p[0]] >= rank[p[-1]]
-                                    for p in flow.paths),
+    for j, t in ends:
+        starts[j] += 1
+        loads[t] += 1
+
+    def canonical(i: int) -> Tuple[bool, int, int]:
+        j, t = ends[i]
+        return j == t, rank[t], rank[j]
+
+    waiting, violating = list(starts), None
+    for i in sorted(range(len(ends)), key=canonical):  # stable: ties by id
+        j, t = ends[i]
+        if waiting[j] > gamma[t]:
+            violating = i
+            break
+        waiting[j] -= 1
+    return {"admissible": violating is None, "violating_path": violating,
+            "endpoints_biased": all(rank[j] >= rank[t] for j, t in ends),
             "per_node_loads_ok": all(map(le, loads, gamma)),
             "level_endpoints_ok": (tuple(starts) == x0
                                    and tuple(loads) == gamma)}
@@ -283,23 +288,23 @@ def _replay(units: Sequence[int], arcs: Sequence[Arc],
     return MultiLevelFlow(tuple(map(tuple, paths)), tuple(arcs))
 
 
-def _flows(x0: Tuple[int, ...], arcs: Sequence[Arc]
-           ) -> Iterator[MultiLevelFlow]:
-    """Every flow of the units x0 along arcs, by backtracking over which
-    unit takes each transition; units that started at one vertex and
-    stand at one vertex are interchangeable, so only the first is tried."""
-    units = [v for v, k in enumerate(x0) for _ in range(k)]
+def _flows(units: Sequence[int], arcs: Sequence[Arc]
+           ) -> Iterator[Tuple[Tuple[Arc, ...], List[int]]]:
+    """Every flow of the units (unit i starts at units[i]) along arcs, as
+    each unit's (start, end) pair and the takers list _replay reads,
+    which the next candidate overwrites.  Backtracks over which unit
+    takes each transition; units that started at one vertex and stand at
+    one vertex are interchangeable, so only the first is tried."""
     pos = list(units)
     takers = [-1] * len(arcs)
 
-    def rec(t: int) -> Iterator[MultiLevelFlow]:
+    def rec(t: int) -> Iterator[Tuple[Tuple[Arc, ...], List[int]]]:
+        while t < len(arcs) and arcs[t][0] == arcs[t][1]:
+            t += 1  # a transition u -> u moves no unit
         if t == len(arcs):
-            yield _replay(units, arcs, takers)
+            yield tuple(zip(units, pos)), takers
             return
         src, dst = arcs[t]
-        if src == dst:
-            yield from rec(t + 1)
-            return
         tried = set()
         for i, p in enumerate(pos):
             if p == src and units[i] not in tried:
@@ -327,12 +332,14 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
     x0, gamma, rank = opt.charge_vector(), trace.cover.x, trace.rank
     if greedy_sol.charge_vector() != gamma:
         raise ValueError("greedy solution charges disagree with the greedy trace")
+    units = [v for v, k in enumerate(x0) for _ in range(k)]
     for moves in islice(_schedules(opt.as_dict(), greedy_sol.as_dict(),
                                    frozenset(inst.edges), rank, coeffs,
                                    trace.length), SCHEDULE_ATTEMPTS):
-        for flow in _flows(x0, [arc for mv in moves for arc in mv.arcs]):
-            if _endpoints_pass(_endpoint_checks(flow, x0, gamma, rank)):
-                return moves, flow
+        arcs = [arc for mv in moves for arc in mv.arcs]
+        for ends, takers in _flows(units, arcs):
+            if _endpoints_pass(_endpoint_checks(ends, x0, gamma, rank)):
+                return moves, _replay(units, arcs, takers)
     raise LookupError("no certifiable schedule found")
 
 
@@ -346,25 +353,6 @@ def flow_respects_capacities(flow: MultiLevelFlow, coeffs: CoefficientTable,
         if cap is not None and used > cap:
             return False
     return True
-
-
-def check_admissible(flow: MultiLevelFlow, order: Sequence[int],
-                     greedy_values: Sequence[int]
-                     ) -> Tuple[bool, Optional[int]]:
-    """Admissibility: when a path from source j to terminal t is
-    considered, the flow still waiting at j (this path and every later
-    one from j) must fit within t's total final in-flow.  Returns the
-    first violating path id in ``order``, if any."""
-    remaining: Dict[int, int] = {}
-    for p in flow.paths:
-        remaining[p[0]] = remaining.get(p[0], 0) + 1
-    for pid in order:
-        p = flow.paths[pid]
-        j, t = p[0], p[-1]
-        if remaining[j] > greedy_values[t]:
-            return False, pid
-        remaining[j] -= 1
-    return True, None
 
 
 def _witness_tree(inst: GraphInstance, oracle: PolymatroidOracle,
@@ -459,7 +447,8 @@ def verify_beta_one(inst: GraphInstance, oracle: PolymatroidOracle,
     except ValueError:
         trees_ok = reaches_greedy = False
 
-    checks = _endpoint_checks(flow, opt_sol.charge_vector(),
+    checks = _endpoint_checks([(p[0], p[-1]) for p in flow.paths],
+                              opt_sol.charge_vector(),
                               greedy_sol.charge_vector(), trace.rank)
     report.update(
         checks,

@@ -26,6 +26,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 LOG2E = math.log2(math.e)
 VALIDATE_MAX_M = 24  # validate_cover reads all 2^m subsets
+GUARD_MSG = "instance too large for exact solver"
+
+
+class GuardError(ValueError):
+    """An instance exceeds a size guard of an exact solver or exhaustive
+    check; the message contains GUARD_MSG."""
 
 
 @dataclass(frozen=True)
@@ -140,19 +146,11 @@ def weight_product(x: Sequence[int]) -> int:
 def entropy_from_weight(weight: int, n: int) -> float:
     if n <= 0:
         raise ValueError("degenerate cover")
-    # log2 of a big int, without overflowing float conversion; clamp the
-    # rounding noise of the subtraction (entropy is nonnegative)
-    return max(0.0, math.log2(n) - _log2_bigint(weight) / n)
-
-
-def _log2_bigint(w: int) -> float:
-    if w <= 0:
+    if weight <= 0:
         raise ValueError("weight must be positive")
-    bits = w.bit_length()
-    if bits <= 900:
-        return math.log2(w)
-    shift = bits - 900
-    return math.log2(w >> shift) + shift
+    # math.log2 takes an int of any size; clamp the rounding noise of the
+    # subtraction (entropy is nonnegative)
+    return max(0.0, math.log2(n) - math.log2(weight) / n)
 
 
 def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optional[int]]:
@@ -171,7 +169,7 @@ def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optio
     if len(cover.x) != m:
         raise ValueError("cover length does not match ground set")
     if m > VALIDATE_MAX_M:
-        raise ValueError("exhaustive validation infeasible")
+        raise GuardError(f"{GUARD_MSG}: exhaustive validation infeasible")
     for j, v in enumerate(cover.x):
         if v < 0:
             return False, 1 << j
@@ -209,7 +207,8 @@ def check_polymatroid(oracle: PolymatroidOracle) -> Tuple[bool, Optional[Tuple[i
     """
     m = oracle.m
     if m > 16:
-        raise ValueError("ground set too large for exhaustive polymatroid check")
+        raise GuardError(f"{GUARD_MSG}: ground set too large for "
+                         f"exhaustive polymatroid check")
     witness = polymatroid_violation(oracle.table())
     return witness is None, witness
 

@@ -44,20 +44,15 @@ from itertools import compress
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .core import (Cover, PolymatroidOracle, entropy_from_weight,
-                   polymatroid_violation, weight_product)
+from .core import (GUARD_MSG, Cover, GuardError, PolymatroidOracle,
+                   entropy_from_weight, polymatroid_violation,
+                   weight_product)
 from .instances import (Edge, GraphInstance, SetCoverInstance, find,
                         mest_oracle)
 
-GUARD_MSG = "instance too large for exact solver"
 EXACT_MAX_WORK = 1 << 20  # the subset DP's bound on m 2^m: m <= 16
 MEST_ENTROPY_MAX_VERTICES = 20  # exact_mest_entropy's guard on its recursion
 MEST_ENTROPY_MAX_TREES = 8 ** 6  # and on its work, one DP per tree: K8's count
-
-
-class GuardError(ValueError):
-    """An instance exceeds an exact solver's size guard; the message
-    contains GUARD_MSG."""
 
 
 @dataclass(frozen=True)

@@ -622,18 +622,34 @@ def parse_instance(data: Union[bytes, str]) -> Union[SetCoverInstance, GraphInst
 
 # -------------------------------------------------------------- generators
 
+_GRAPH_DEFAULTS = {"n_vertices": 7, "extra_edge_prob": 0.3}
+_GEN_DEFAULTS = {"mesc": {"m": 5, "n": 8, "density": 0.3},
+                 "meo": _GRAPH_DEFAULTS, "mest": _GRAPH_DEFAULTS}
+
+
 def generate_random(kind: str, seed: int, **params):
     """Seeded random instance.  kinds: 'mesc' (params m, n, density),
     'meo'/'mest' (params n_vertices, extra_edge_prob).  Graph instances are
-    always connected (spanning-tree skeleton plus random extra edges)."""
+    always connected (spanning-tree skeleton plus random extra edges).
+    Raises ValueError for another kind, a parameter the kind does not
+    take, or a probability outside [0, 1]."""
+    if kind not in _GEN_DEFAULTS:
+        raise ValueError(f"unknown instance kind '{kind}'")
+    defaults = _GEN_DEFAULTS[kind]
+    unknown = [k for k in params if k not in defaults]
+    if unknown:
+        raise ValueError(f"{kind} takes no parameter {', '.join(unknown)}; "
+                         f"its parameters are {', '.join(defaults)}")
+    params = {**defaults, **params}
+    for k in ("density", "extra_edge_prob"):
+        if k in params and not 0 <= params[k] <= 1:
+            raise ValueError(f"{k} must lie in [0, 1], got {params[k]}")
     rng = random.Random(seed)
     if kind == "mesc":
-        m = params.get("m", 5)
-        n = params.get("n", 8)
+        m, n, density = params["m"], params["n"], params["density"]
         if m < 1 or n < 1:
             raise ValueError(f"mesc needs at least one set and one element, "
                              f"got m={m}, n={n}")
-        density = params.get("density", 0.3)
         sets = [set() for _ in range(m)]
         for i in range(m):
             for j in range(n):
@@ -647,18 +663,15 @@ def generate_random(kind: str, seed: int, **params):
             if j not in covered:
                 sets[rng.randrange(m)].add(j)
         return SetCoverInstance(n, tuple(frozenset(s) for s in sets))
-    if kind in ("meo", "mest"):
-        nv = params.get("n_vertices", 7)
-        p = params.get("extra_edge_prob", 0.3)
-        perm = list(range(nv))
-        rng.shuffle(perm)
-        edges = set()
-        for i in range(1, nv):
-            a, b = perm[i], perm[rng.randrange(i)]
-            edges.add((a, b) if a < b else (b, a))
-        for u in range(nv):
-            for v in range(u + 1, nv):
-                if (u, v) not in edges and rng.random() < p:
-                    edges.add((u, v))
-        return GraphInstance(nv, tuple(sorted(edges)))
-    raise ValueError(f"unknown instance kind '{kind}'")
+    nv, p = params["n_vertices"], params["extra_edge_prob"]
+    perm = list(range(nv))
+    rng.shuffle(perm)
+    edges = set()
+    for i in range(1, nv):
+        a, b = perm[i], perm[rng.randrange(i)]
+        edges.add((a, b) if a < b else (b, a))
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            if (u, v) not in edges and rng.random() < p:
+                edges.add((u, v))
+    return GraphInstance(nv, tuple(sorted(edges)))

@@ -2,8 +2,8 @@ import pytest
 from conftest import beta_certificate, misfit_reversal
 
 from entcover import certify
-from entcover.certify import (MultiLevelFlow, TreeMove, _schedules,
-                              apply_move, canonical_order, check_admissible,
+from entcover.certify import (MultiLevelFlow, TreeMove, _endpoint_checks,
+                              _schedules, apply_move,
                               flow_respects_capacities, is_spanning_tree,
                               transform_tree)
 from entcover.core import LOG2E, entropy
@@ -125,24 +125,33 @@ def test_is_spanning_tree():
 
 
 class TestAdmissibility:
+    # _endpoint_checks takes each path's (start, end) pair
+    @staticmethod
+    def admissible(ends, gamma, rank):
+        checks = _endpoint_checks(ends, (), tuple(gamma), rank)
+        return checks["admissible"], checks["violating_path"]
+
     def test_identity_flow_admissible(self):
-        flow = MultiLevelFlow((), ())
-        ok, pid = check_admissible(flow, canonical_order(flow, [0, 1, 2]),
-                                   [2, 1, 0])
+        ok, pid = self.admissible((), [2, 1, 0], [0, 1, 2])
         assert ok and pid is None
 
     def test_hand_built_violation(self):
         # two units leave node 1 but its terminal only ever holds 1
-        flow = MultiLevelFlow(((1, 0), (1, 0)), ((1, 0),))
-        assert canonical_order(flow, [1, 2]) == (0, 1)
-        ok, pid = check_admissible(flow, (0, 1), [1, 2])
+        ok, pid = self.admissible(((1, 0), (1, 0)), [1, 2], [1, 2])
         assert not ok
         assert pid == 0
 
     def test_single_unit_fits(self):
-        flow = MultiLevelFlow(((1, 0),), ((1, 0),))
-        ok, pid = check_admissible(flow, (0,), [1, 2])
+        ok, pid = self.admissible(((1, 0),), [1, 2], [1, 2])
         assert ok
+
+    def test_cross_index_paths_come_first(self):
+        # path 0 stays at 1 and path 1 leaves it: in id order path 0 would
+        # violate first, but the cross-index path 1 is checked first
+        assert self.admissible(((1, 1), (1, 0)), [1, 1], [1, 2]) == (False, 1)
+        # here path 0 has the lower terminal rank, yet the cross-index
+        # path 1 still goes first and finds both units waiting at 0
+        assert self.admissible(((0, 0), (0, 1)), [2, 1], [1, 2]) == (False, 1)
 
 
 class TestTransform:
@@ -217,11 +226,20 @@ class TestTransform:
     def test_flow_search_backtracks(self, monkeypatch):
         # the flow search first gives each transition to the first unit
         # standing at its source; on this graph that candidate is not
-        # biased, so the first schedule certifies with a later candidate
+        # biased, so the first schedule certifies with a later candidate,
+        # the only one whose path table is built
         g = generate_random("mest", 801, n_vertices=6, extra_edge_prob=0.2)
         calls = count_schedules(monkeypatch)
+        replays = []
+        replay = certify._replay
+
+        def counted(*args):
+            replays.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(certify, "_replay", counted)
         rep, trace, opt = beta_certificate(g, "highest")
-        assert rep["certified"] and len(calls) == 1
+        assert rep["certified"] and len(calls) == 1 and len(replays) == 1
         witness = witness_trees(g)[1][rep["witness_index"]]
         sol, _, coeffs = greedy_tree(g, "highest")
         moves = next(_schedules(witness.as_dict(), sol.as_dict(),

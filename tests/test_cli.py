@@ -299,6 +299,24 @@ def test_gen_empty_mesc_names_the_sizes(capsys):
                        f"got {sizes}\n"), flag
 
 
+def test_gen_refuses_flags_the_kind_does_not_take(capsys):
+    # every flag given reaches generate_random, which refuses another
+    # family's parameter and a probability outside [0, 1]
+    for argv, msg in (
+            (("--kind", "mesc", "--vertices", "30"),
+             "error: mesc takes no parameter n_vertices; its parameters "
+             "are m, n, density\n"),
+            (("--kind", "mest", "--sets", "4"),
+             "error: mest takes no parameter m; its parameters are "
+             "n_vertices, extra_edge_prob\n"),
+            (("--kind", "mesc", "--density", "1.5"),
+             "error: density must lie in [0, 1], got 1.5\n"),
+            (("--kind", "meo", "--edge-prob", "-1"),
+             "error: extra_edge_prob must lie in [0, 1], got -1.0\n")):
+        code, out, err = run(capsys, "gen", "--seed", "1", *argv)
+        assert (code, out, err) == (2, "", msg), argv
+
+
 def test_gen_stdout(capsys):
     code, out, _ = run(capsys, "gen", "--kind", "meo", "--seed", "3")
     assert code == 0

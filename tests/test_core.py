@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from entcover.core import (LOG2E, Cover, GroundSet,
+from entcover.core import (GUARD_MSG, LOG2E, Cover, GroundSet, GuardError,
                            PolymatroidOracle, check_polymatroid, entropy,
                            entropy_from_weight, polymatroid_violation,
                            subset_violation, validate_cover,
@@ -109,12 +109,14 @@ def test_validate_cover_accepts_and_witnesses():
 
 
 def test_validate_cover_guards():
+    # the size guard is a GuardError, a malformed cover a plain ValueError
     o = make_oracle(25, int.bit_count)
-    with pytest.raises(ValueError, match="exhaustive validation infeasible"):
+    with pytest.raises(GuardError, match="exhaustive validation infeasible"):
         validate_cover(o, Cover(tuple([1] * 25)))
     o2 = make_oracle(2, int.bit_count)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         validate_cover(o2, Cover((1, 1, 1)))  # length mismatch
+    assert not isinstance(err.value, GuardError)
 
 
 def test_validate_cover_vs_bruteforce():
@@ -255,7 +257,7 @@ def test_subset_violation_is_first_violated_subset():
 
 
 def test_check_polymatroid_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardError, match=GUARD_MSG):
         check_polymatroid(make_oracle(17, int.bit_count))
 
 

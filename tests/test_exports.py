@@ -14,7 +14,8 @@ def test_star_import_resolves_every_export():
         assert names[name] is getattr(entcover, name), name
     for gone in ("specialized_coefficients", "Distribution",
                  "OrientationSolution", "popcount", "extract_assignment",
-                 "check_assignment", "PathOrdering"):
+                 "check_assignment", "PathOrdering", "canonical_order",
+                 "check_admissible"):
         assert gone not in entcover.__all__, gone
         assert not hasattr(entcover, gone), gone
 

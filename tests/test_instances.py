@@ -370,8 +370,34 @@ class Generators(unittest.TestCase):
                 generate_random("mesc", 1, m=m, n=n)
 
     def test_unknown_kind(self):
-        with self.assertRaises(ValueError):
-            generate_random('tsp', 1)
+        # the kind is checked before its parameters
+        for params in ({}, {"m": 3}, {"n_vertice": 12}):
+            with self.assertRaisesRegex(ValueError,
+                                        "^unknown instance kind 'tsp'$"):
+                generate_random('tsp', 1, **params)
+
+    def test_refuses_parameters_the_kind_does_not_take(self):
+        # another family's parameter or a misspelt one is named, with the
+        # parameters the kind takes
+        for kind, params, msg in (
+                ("mest", {"n_vertice": 12}, "^mest takes no parameter "
+                 "n_vertice; its parameters are n_vertices, extra_edge_prob$"),
+                ("mesc", {"n_vertices": 30}, "^mesc takes no parameter "
+                 "n_vertices; its parameters are m, n, density$"),
+                ("meo", {"m": 4, "n_vertices": 5, "density": 0.5},
+                 "^meo takes no parameter m, density; ")):
+            with self.assertRaisesRegex(ValueError, msg):
+                generate_random(kind, 1, **params)
+
+    def test_refuses_probability_outside_unit_interval(self):
+        for kind, key in (("mesc", "density"), ("meo", "extra_edge_prob"),
+                          ("mest", "extra_edge_prob")):
+            for bad in (-1, 1.5, float("nan")):
+                with self.assertRaisesRegex(
+                        ValueError, f"^{key} must lie in \\[0, 1\\], got "):
+                    generate_random(kind, 1, **{key: bad})
+            generate_random(kind, 1, **{key: 0})
+            generate_random(kind, 1, **{key: 1})
 
 
 # ------------------------------------------------ derived bitmask forms
@@ -466,7 +492,9 @@ def test_one_instance_derives_each_mask_once(monkeypatch, kind):
     # naive, lazy and coefficient oracles, connectivity and the tree
     # realisation all read one derivation of each mask they use, and
     # nothing else scans the sets or edges again
-    inst = generate_random(kind, 5, m=20, n=30, n_vertices=20, extra_edge_prob=0.2)
+    params = ({"m": 20, "n": 30} if kind == "mesc"
+              else {"n_vertices": 20, "extra_edge_prob": 0.2})
+    inst = generate_random(kind, 5, **params)
     cls = type(inst)
     size, field = astuple(inst)
     field = _ScanCounter(field)
