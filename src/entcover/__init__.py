@@ -3,7 +3,7 @@ trace, exact desk-scale optima, flow-based covering coefficients, and a
 constructive spanning-tree certificate.
 """
 
-from .core import (LOG2E, Cover, GroundSet, PolymatroidOracle,
+from .core import (LOG2E, Cover, PolymatroidOracle,
                    check_polymatroid, entropy, entropy_from_weight,
                    validate_cover, weight_product)
 from .exact import GUARD_MSG, GuardError, Optimum, exact_assignment_mesc, \
@@ -23,7 +23,7 @@ from .certify import (MultiLevelFlow, TreeMove, apply_move,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LOG2E", "GroundSet", "PolymatroidOracle", "Cover", "entropy",
+    "LOG2E", "PolymatroidOracle", "Cover", "entropy",
     "entropy_from_weight", "weight_product", "validate_cover",
     "check_polymatroid",
     "SetCoverInstance", "GraphInstance", "TreeCoverSolution", "GadgetRoles",

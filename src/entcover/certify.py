@@ -24,16 +24,17 @@ with a tree edge on its tree path (exactly the tree edges whose cut it
 crosses) and a direction, tries the alternatives in order, and recurses
 once per cascade.  Alternatives that route fewer units across a zero
 coefficient-table capacity (between two greedy-chosen vertices) come
-first; capacity is a preference, not a gate.  _flows yields every way
-to give each transition to one unit of charge, backtracking once per
-transition.  Every rule the certificate checks on a flow reads only
-where each unit's path starts and ends, so a candidate flow is just its
-(start, end) pairs.  transform_tree accepts the first schedule and
-candidate that pass _endpoint_checks, the one check of those rules that
-verify_beta_one also reports: admissibility, bias, final loads and the
-first and last levels; it builds the path table (_replay) once, for the
-candidate it accepts.  The first schedule and the first candidate
-succeed on most instances.
+first; capacity is a preference, not a gate.  _flows gives each
+transition to one unit of charge, backtracking once per transition and
+expanding each (start, position) state once.  Every rule the
+certificate checks on a flow reads only where each unit's path starts
+and ends, so a candidate flow is just its (start, end) pairs.
+transform_tree accepts the first schedule and candidate that pass
+_endpoint_checks, the one check of those rules that verify_beta_one
+also reports: admissibility, bias, final loads and the first and last
+levels; it builds the path table (_replay) once, for the candidate it
+accepts.  The first schedule and the first candidate succeed on most
+instances.
 
 verify_beta_one checks the certificate on the oracle, greedy trace,
 optimum and coefficient table the verify pipeline already holds.  The
@@ -275,14 +276,16 @@ def _endpoints_pass(checks: dict) -> bool:
 
 
 def _replay(units: Sequence[int], arcs: Sequence[Arc],
-            takers: Sequence[int]) -> MultiLevelFlow:
-    """The flow in which unit takers[t] makes transition t; a unit
-    starts at units[i], and a transition u -> u moves no unit."""
+            movers: Sequence[int]) -> MultiLevelFlow:
+    """The flow in which transition t moves the lowest-index unit that
+    started at movers[t] and stands at its source; unit i starts at
+    units[i], and a transition u -> u moves no unit."""
     cur = list(units)
     paths = [[u] for u in units]
     for t, (src, dst) in enumerate(arcs):
         if src != dst:
-            cur[takers[t]] = dst
+            cur[next(i for i, (u, v) in enumerate(zip(units, cur))
+                     if u == movers[t] and v == src)] = dst
         for p, v in zip(paths, cur):
             p.append(v)
     return MultiLevelFlow(tuple(map(tuple, paths)), tuple(arcs))
@@ -291,30 +294,33 @@ def _replay(units: Sequence[int], arcs: Sequence[Arc],
 def _flows(units: Sequence[int], arcs: Sequence[Arc]
            ) -> Iterator[Tuple[Tuple[Arc, ...], List[int]]]:
     """Every flow of the units (unit i starts at units[i]) along arcs, as
-    each unit's (start, end) pair and the takers list _replay reads,
-    which the next candidate overwrites.  Backtracks over which unit
-    takes each transition; units that started at one vertex and stand at
-    one vertex are interchangeable, so only the first is tried."""
-    pos = list(units)
-    takers = [-1] * len(arcs)
+    its sorted (start, end) pairs and the movers list _replay reads (the
+    start of the unit making each transition; the next candidate
+    overwrites it).  Units with one start and one position are
+    interchangeable, so a state is the sorted (start, position) pairs,
+    and a state reached again at the same transition is not expanded
+    again: it ends every flow as it did the first time."""
+    movers = [-1] * len(arcs)
+    seen = set()
 
-    def rec(t: int) -> Iterator[Tuple[Tuple[Arc, ...], List[int]]]:
+    def rec(t: int, state: Tuple[Arc, ...]
+            ) -> Iterator[Tuple[Tuple[Arc, ...], List[int]]]:
         while t < len(arcs) and arcs[t][0] == arcs[t][1]:
             t += 1  # a transition u -> u moves no unit
+        if (t, state) in seen:
+            return
+        seen.add((t, state))
         if t == len(arcs):
-            yield tuple(zip(units, pos)), takers
+            yield state, movers
             return
         src, dst = arcs[t]
-        tried = set()
-        for i, p in enumerate(pos):
-            if p == src and units[i] not in tried:
-                tried.add(units[i])
-                pos[i] = dst
-                takers[t] = i
-                yield from rec(t + 1)
-                pos[i] = src
+        for k, (j, p) in enumerate(state):
+            if p == src and not (k and state[k - 1] == (j, p)):
+                movers[t] = j
+                yield from rec(t + 1, tuple(sorted(
+                    state[:k] + ((j, dst),) + state[k + 1:])))
 
-    return rec(0)
+    return rec(0, tuple(zip(units, units)))
 
 
 def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
@@ -337,9 +343,9 @@ def transform_tree(inst: GraphInstance, opt: TreeCoverSolution,
                                    frozenset(inst.edges), rank, coeffs,
                                    trace.length), SCHEDULE_ATTEMPTS):
         arcs = [arc for mv in moves for arc in mv.arcs]
-        for ends, takers in _flows(units, arcs):
+        for ends, movers in _flows(units, arcs):
             if _endpoints_pass(_endpoint_checks(ends, x0, gamma, rank)):
-                return moves, _replay(units, arcs, takers)
+                return moves, _replay(units, arcs, movers)
     raise LookupError("no certifiable schedule found")
 
 

@@ -185,7 +185,7 @@ def cmd_reduce(args) -> int:
     _write(out_path, serialize_instance(gadget))
     m, n = len(inst.sets), inst.n_elements
     w = gadget.n_vertices - 1  # every spanning tree's edge count
-    a = len(gadget.neighbors(roles.r_node))  # the hub's degree
+    a = gadget.nbr_masks[roles.r_node].bit_count()  # the hub's degree
     # mu(lambda) = offset + slope * lambda, exactly reduction_entropy_relation
     offset = reduction_entropy_relation(m, n, 0.0)
     slope = n / w

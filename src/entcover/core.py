@@ -1,4 +1,4 @@
-"""Ground sets, polymatroid oracles, covers, and the entropy objective.
+"""Polymatroid oracles, covers, and the entropy objective.
 
 Conventions used throughout the package:
 
@@ -34,24 +34,9 @@ class GuardError(ValueError):
     check; the message contains GUARD_MSG."""
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """The set U of elements (players), identified by indices 0..m-1."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"ground set size must be at least 1, got {self.m}")
-
-    @property
-    def universe(self) -> int:
-        """Bitmask of the full ground set."""
-        return (1 << self.m) - 1
-
-
 class PolymatroidOracle:
-    """Wraps a pure subset function f with memoization.
+    """Wraps a pure subset function f on the ground set 0..m-1, m >= 1,
+    with memoization.
 
     The callable must be deterministic and side-effect-free; values are
     cached, so impure functions would give inconsistent reads.  The
@@ -59,17 +44,15 @@ class PolymatroidOracle:
     :func:`check_polymatroid` for that (it is exponential in m).
     """
 
-    def __init__(self, ground: GroundSet, fn: Callable[[int], int]) -> None:
-        self.ground = ground
+    def __init__(self, m: int, fn: Callable[[int], int]) -> None:
+        if m < 1:
+            raise ValueError(f"ground set size must be at least 1, got {m}")
+        self.m = m
         self._fn = fn
         self._cache: dict[int, int] = {}
 
-    @property
-    def m(self) -> int:
-        return self.ground.m
-
     def eval(self, mask: int) -> int:
-        if mask >> self.ground.m:
+        if mask >> self.m:
             raise ValueError("subset mask outside the ground set")
         v = self._cache.get(mask)
         if v is None:
@@ -79,13 +62,13 @@ class PolymatroidOracle:
 
     def total(self) -> int:
         """f(U) — the amount every cover must allocate."""
-        return self.eval(self.ground.universe)
+        return self.eval((1 << self.m) - 1)
 
     def table(self) -> List[int]:
         """f at every subset mask, in mask order: 2^m reads through eval
         and its cache.  The family oracles of instances.py override it
         with a subset recursion over their masks, which reads no cache."""
-        return [self.eval(mask) for mask in range(1 << self.ground.m)]
+        return [self.eval(mask) for mask in range(1 << self.m)]
 
     def gains(self, base: int) -> List[int]:
         """Every marginal gain f(base + j) - f(base), j = 0..m-1; it is 0
@@ -93,12 +76,12 @@ class PolymatroidOracle:
         oracles of instances.py override it with a closed form on the
         state they keep along a growing chain of bases."""
         f_base = self.eval(base)
-        return [self.eval(base | 1 << j) - f_base for j in range(self.ground.m)]
+        return [self.eval(base | 1 << j) - f_base for j in range(self.m)]
 
     def gain(self, base: int, j: int) -> int:
         """The one marginal gain f(base + j) - f(base); 0 for j in base.
         Read through eval here; the family oracles override it too."""
-        if not 0 <= j < self.ground.m:
+        if not 0 <= j < self.m:
             raise ValueError("subset mask outside the ground set")
         return self.eval(base | 1 << j) - self.eval(base)
 
@@ -174,7 +157,7 @@ def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optio
         if v < 0:
             return False, 1 << j
     if cover.total != oracle.total():
-        return False, oracle.ground.universe
+        return False, (1 << m) - 1
     witness = subset_violation(oracle.table(), cover.x)
     return witness is None, witness
 

@@ -50,7 +50,7 @@ from .core import (GUARD_MSG, Cover, GuardError, PolymatroidOracle,
 from .instances import (Edge, GraphInstance, SetCoverInstance, find,
                         mest_oracle)
 
-EXACT_MAX_WORK = 1 << 20  # the subset DP's bound on m 2^m: m <= 16
+EXACT_MAX_WORK = 1 << 20  # bounds m 2^m (m <= 16) and the assignment search
 MEST_ENTROPY_MAX_VERTICES = 20  # exact_mest_entropy's guard on its recursion
 MEST_ENTROPY_MAX_TREES = 8 ** 6  # and on its work, one DP per tree: K8's count
 
@@ -144,19 +144,12 @@ def exact_assignment_mesc(inst: SetCoverInstance) -> Optimum:
     element picks one containing set; scores the induced count vectors."""
     owners = [[i for i, s in enumerate(inst.sets) if j in s]
               for j in range(inst.n_elements)]
-    work = 1
-    for o in owners:
-        work *= len(o)
-        if work > 5_000_000:
-            raise GuardError(GUARD_MSG)
     return _best_assignments(owners, inst.m)
 
 
 def exact_orientation(inst: GraphInstance) -> Optimum:
     """Orientation optimum by the same assignment search: each edge
-    picks one of its two endpoints; at most 16 edges."""
-    if len(inst.edges) > 16:
-        raise GuardError(GUARD_MSG)
+    picks one of its two endpoints."""
     if not inst.edges:
         raise ValueError("graph has no edges")
     return _best_assignments(inst.edges, inst.n_vertices)
@@ -164,9 +157,19 @@ def exact_orientation(inst: GraphInstance) -> Optimum:
 
 def _best_assignments(owners: Sequence[Sequence[int]], m: int) -> Optimum:
     """Every optimal count vector over m owners when item j goes to one
-    of owners[j], carrying one layer of distinct count vectors per item."""
-    layer = {(0,) * m}
+    of owners[j], carrying one layer of distinct count vectors per item;
+    an item with one owner is counted into the first layer.  The guard
+    bounds the work: a layer costs the last one's size times the item's
+    owners, at most EXACT_MAX_WORK in all."""
+    start = [0] * m
     for own in owners:
+        if len(own) == 1:
+            start[own[0]] += 1
+    layer, work = {tuple(start)}, 0
+    for own in (own for own in owners if len(own) > 1):
+        work += len(layer) * len(own)
+        if work > EXACT_MAX_WORK:
+            raise GuardError(GUARD_MSG)
         layer = {c[:i] + (c[i] + 1,) + c[i + 1:] for c in layer for i in own}
     weights = {c: weight_product(c) for c in layer}
     best_w = max(weights.values())

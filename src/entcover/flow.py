@@ -109,7 +109,7 @@ def build_alpha_network(optimal: Cover, trace: GreedyTrace,
     """
     m = len(optimal.x)
     l = trace.length
-    if coeffs.steps != l or any(len(row) != m for row in coeffs.a):
+    if len(coeffs.a) != l or any(len(row) != m for row in coeffs.a):
         raise ValueError("dimension mismatch between trace and coefficient table")
     if len(sink_caps) != l:
         raise ValueError("dimension mismatch: need one sink capacity per greedy step")

@@ -30,10 +30,6 @@ class GreedyTrace:
     rank: Tuple[int, ...]
     cover: Cover
 
-    def prefix(self, r: int) -> int:
-        """W_r as a bitmask; r = 0 gives the empty set."""
-        return 0 if r == 0 else self.prefixes[r - 1]
-
     @property
     def length(self) -> int:
         return len(self.order)
@@ -151,14 +147,6 @@ class CoefficientTable:
     step r the element j could have claimed."""
 
     a: Tuple[Tuple[int, ...], ...]
-
-    def row(self, r: int) -> Tuple[int, ...]:
-        """Row for greedy step r (1-based)."""
-        return self.a[r - 1]
-
-    @property
-    def steps(self) -> int:
-        return len(self.a)
 
 
 def coefficients(oracle: PolymatroidOracle, trace: GreedyTrace) -> CoefficientTable:

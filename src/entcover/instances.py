@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING, Union)
 
-from .core import Cover, GroundSet, PolymatroidOracle
+from .core import Cover, PolymatroidOracle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .greedy import GreedyTrace
@@ -172,17 +172,6 @@ class GraphInstance:
             seen |= frontier
         return seen == (1 << self.n_vertices) - 1
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        if not 0 <= v < self.n_vertices:
-            raise ValueError(f"vertex {v} out of range")
-        out = []
-        rest = self.nbr_masks[v]
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length() - 1)
-            rest ^= low
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class TreeCoverSolution:
@@ -225,14 +214,14 @@ class _FamilyOracle(PolymatroidOracle):
     state grows by each base's new elements only; a base that does not
     contain the last one starts it again from ∅."""
 
-    def __init__(self, ground: GroundSet, fn: Callable[[int], int]) -> None:
-        super().__init__(ground, fn)
+    def __init__(self, m: int, fn: Callable[[int], int]) -> None:
+        super().__init__(m, fn)
         self._base = 0
         self._reset()
 
     def _at(self, base: int) -> None:
         """Bring the kept state to base."""
-        if base >> self.ground.m:
+        if base >> self.m:
             raise ValueError("subset mask outside the ground set")
         if self._base & ~base:
             self._base = 0
@@ -246,7 +235,7 @@ class _FamilyOracle(PolymatroidOracle):
         return self._gains()
 
     def gain(self, base: int, j: int) -> int:
-        if not 0 <= j < self.ground.m:
+        if not 0 <= j < self.m:
             raise ValueError("subset mask outside the ground set")
         self._at(base)
         return 0 if base >> j & 1 else self._gain(j)
@@ -258,7 +247,7 @@ class _CoverageOracle(_FamilyOracle):
 
     def __init__(self, masks: Sequence[int]) -> None:
         self._masks = masks
-        super().__init__(GroundSet(len(masks)),
+        super().__init__(len(masks),
                          lambda sub: _union(masks, sub).bit_count())
 
     def _reset(self) -> None:
@@ -313,7 +302,7 @@ class _TreeOracle(_FamilyOracle):
                     frontier = _union(near, frontier) & rest
             return (sub | _union(nbr, sub)).bit_count() - comps
 
-        super().__init__(GroundSet(n), rank)
+        super().__init__(n, rank)
 
     def _reset(self) -> None:
         self._covered = 0
@@ -341,7 +330,7 @@ class _TreeOracle(_FamilyOracle):
 
     def _gains(self) -> List[int]:
         base = self._base
-        t = [0] * self.ground.m  # t[j]: components within distance 2 of j
+        t = [0] * self.m  # t[j]: components within distance 2 of j
         for _, reach in self._comps:
             reach &= ~base
             while reach:

@@ -61,7 +61,7 @@ def specialized_coefficients(inst: GraphInstance, trace: GreedyTrace,
     if problem == "meo":
         for r in range(trace.length):
             ir = trace.order[r]
-            w_prev = trace.prefix(r)
+            w_prev = trace.prefixes[r - 1] if r else 0
             row = []
             for j in range(n):
                 if j == ir:
@@ -83,7 +83,7 @@ def specialized_coefficients(inst: GraphInstance, trace: GreedyTrace,
 
     for r in range(trace.length):
         ir = trace.order[r]
-        w_prev = trace.prefix(r)
+        w_prev = trace.prefixes[r - 1] if r else 0
         parent = list(range(n))
         for (u, v) in inst.edges:
             if (w_prev >> u) & 1 or (w_prev >> v) & 1:

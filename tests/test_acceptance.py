@@ -63,15 +63,15 @@ def test_criterion_1_coefficient_identities():
         table = coefficients(o, trace)
         l, m = trace.length, o.m
         for r in range(1, l + 1):
-            assert all(v >= 0 for v in table.row(r)), (kind, inst)
+            assert all(v >= 0 for v in table.a[r - 1]), (kind, inst)
         for j in range(m):
-            assert sum(table.row(r)[j] for r in range(1, l + 1)) == o.eval(1 << j)
+            assert sum(table.a[r - 1][j] for r in range(1, l + 1)) == o.eval(1 << j)
             acc = 0
             for r in range(1, l + 1):
-                acc += table.row(r)[j]
-                rem = o.eval(trace.prefix(r) | (1 << j)) - o.eval(trace.prefix(r))
+                acc += table.a[r - 1][j]
+                rem = o.eval(trace.prefixes[r - 1] | (1 << j)) - o.eval(trace.prefixes[r - 1])
                 assert o.eval(1 << j) - acc == rem
-                assert isinstance(table.row(r)[j], int)
+                assert isinstance(table.a[r - 1][j], int)
         checked += 1
     dt = time.perf_counter() - t0
     check(1, checked == 200 and dt < 10.0,

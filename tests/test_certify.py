@@ -255,6 +255,28 @@ class TestTransform:
         assert not all(trace.rank[u] >= trace.rank[t] for u, t in zip(units, pos))
         assert sorted((p[0], p[-1]) for p in rep["paths"]) != sorted(zip(units, pos))
 
+    def test_flow_search_expands_each_state_once(self, monkeypatch):
+        # units with one start and one position are interchangeable, and a
+        # state reached again at a transition ends every flow as before,
+        # so it is not expanded again: this graph's search judges 4
+        # candidates, where one over unit indices judges 7
+        g = generate_random("mest", 979, n_vertices=9, extra_edge_prob=0.2)
+        calls = count_schedules(monkeypatch)
+        judged = []
+        checks = certify._endpoint_checks
+
+        def counted(ends, *args):
+            judged.append(tuple(ends))
+            return checks(ends, *args)
+
+        monkeypatch.setattr(certify, "_endpoint_checks", counted)
+        rep, _, _ = beta_certificate(g, "highest")
+        assert rep["certified"] and len(calls) == 1
+        *candidates, reported = judged
+        assert len(candidates) == len(set(candidates)) == 4
+        # the path table replays the accepted candidate
+        assert candidates[-1] == tuple(sorted(reported))
+
     def test_schedule_invariant_is_runtime_error(self):
         # a one-edge "greedy tree" leaves edge (1,2) with no crossing
         # replacement, which no pair of spanning trees can do

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from entcover.core import (GUARD_MSG, LOG2E, Cover, GroundSet, GuardError,
+from entcover.core import (GUARD_MSG, LOG2E, Cover, GuardError,
                            PolymatroidOracle, check_polymatroid, entropy,
                            entropy_from_weight, polymatroid_violation,
                            subset_violation, validate_cover,
@@ -14,19 +14,18 @@ from entcover.instances import GraphInstance, SetCoverInstance, \
 
 
 def make_oracle(m, fn):
-    return PolymatroidOracle(GroundSet(m), fn)
+    return PolymatroidOracle(m, fn)
 
 
 def test_ground_set_bounds():
-    GroundSet(1)
-    GroundSet(63)
+    # the oracle takes its ground-set size m >= 1
+    assert PolymatroidOracle(1, int.bit_count).total() == 1
     # bitmasks are unbounded ints: no cap at the machine word
-    assert GroundSet(100).universe == (1 << 100) - 1
-    with pytest.raises(ValueError):
-        GroundSet(0)
-    with pytest.raises(ValueError):
-        GroundSet(-1)
-    assert GroundSet(3).universe == 0b111
+    assert PolymatroidOracle(100, int.bit_count).total() == 100
+    with pytest.raises(ValueError, match="at least 1"):
+        PolymatroidOracle(0, int.bit_count)
+    with pytest.raises(ValueError, match="at least 1"):
+        PolymatroidOracle(-1, int.bit_count)
 
 
 def test_oracle_eval_guard():
@@ -100,7 +99,7 @@ def test_validate_cover_accepts_and_witnesses():
     assert not ok and w == 0b001
     # wrong total
     ok, w = validate_cover(o, Cover((1, 1, 0)))
-    assert not ok and w == o.ground.universe
+    assert not ok and w == 0b111
     # subset violation: 2 units on the singleton set {2}
     ok, w = validate_cover(o, Cover((1, 0, 2)))
     assert not ok

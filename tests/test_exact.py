@@ -6,7 +6,7 @@ import time
 import pytest
 
 from entcover import certify, exact
-from entcover.core import (Cover, GroundSet, PolymatroidOracle,
+from entcover.core import (Cover, PolymatroidOracle,
                            check_polymatroid, entropy_from_weight,
                            subset_violation, validate_cover, weight_product)
 from entcover.exact import (GUARD_MSG, GuardError, exact_assignment_mesc,
@@ -87,12 +87,13 @@ def test_guards():
 
 def test_every_guard_raises_guard_error():
     big_m = SetCoverInstance(17, tuple(frozenset({i}) for i in range(17)))
-    many_owners = SetCoverInstance(8, tuple(frozenset(range(8)) for _ in range(8)))
+    # 8 elements in 16 sets each: the seventh layer brings the assignment
+    # search's expansions to 1,193,808, past 2^20
+    many_owners = SetCoverInstance(8, tuple(frozenset(range(8)) for _ in range(16)))
     path17 = GraphInstance(17, tuple((i, i + 1) for i in range(16)))
-    k7 = GraphInstance(7, tuple((i, j) for i in range(7) for j in range(i + 1, 7)))
     for solve in (lambda: exact_cover(mesc_oracle(big_m)),
                   lambda: exact_assignment_mesc(many_owners),
-                  lambda: exact_orientation(k7),
+                  lambda: exact_orientation(complete_graph(8)),
                   lambda: exact_mest(path17),
                   lambda: exact_mest_entropy(PATH21)):
         with pytest.raises(GuardError, match=GUARD_MSG):
@@ -133,7 +134,7 @@ def planted_set_function(m, seed):
     vals = [0] + [sum(planted[j] for j in range(m) if s >> j & 1)
                   + (0 if s == full else rng.randrange(3))
                   for s in range(1, full + 1)]
-    return PolymatroidOracle(GroundSet(m), vals.__getitem__)
+    return PolymatroidOracle(m, vals.__getitem__)
 
 
 def test_matches_brute_force_reference():
@@ -256,7 +257,7 @@ def test_many_optima_at_sixteen_sets():
 
 
 def test_degenerate_total():
-    o = PolymatroidOracle(GroundSet(2), lambda s: 0)
+    o = PolymatroidOracle(2, lambda s: 0)
     with pytest.raises(ValueError):
         exact_cover(o)
 
@@ -309,11 +310,32 @@ def test_orientation_route_agrees():
 
 
 def test_orientation_guards():
-    big = GraphInstance(8, tuple((i, j) for i in range(8) for j in range(i + 1, 8))[:17])
+    # full K8 needs 3,332,282 expansions, past 2^20
     with pytest.raises(ValueError, match=GUARD_MSG):
-        exact_orientation(big)
+        exact_orientation(complete_graph(8))
     with pytest.raises(ValueError):
         exact_orientation(GraphInstance(1, ()))
+
+
+def test_assignment_guard_bounds_its_work():
+    # the guard counts expanded count vectors, so work a proxy refused
+    # runs: K7's 21 edges (188,634 expansions), and 12 elements in four
+    # of 8 sets each (4^12 owner choices) plus private elements, which
+    # never branch
+    k7 = complete_graph(7)
+    rng = random.Random(1)
+    sets = [set() for _ in range(8)]
+    for e in range(12):
+        for k in rng.sample(range(8), 4):
+            sets[k].add(e)
+    for e in range(12, 60):
+        sets[e % 8].add(e)
+    shared = SetCoverInstance(60, tuple(map(frozenset, sets)))
+    for got, want in ((exact_orientation(k7), exact_cover(meo_oracle(k7))),
+                      (exact_assignment_mesc(shared),
+                       exact_cover(mesc_oracle(shared)))):
+        assert xs(got) == xs(want)
+        assert got.entropy == pytest.approx(want.entropy, abs=1e-12)
 
 
 def test_mest_path():

@@ -15,9 +15,20 @@ def test_star_import_resolves_every_export():
     for gone in ("specialized_coefficients", "Distribution",
                  "OrientationSolution", "popcount", "extract_assignment",
                  "check_assignment", "PathOrdering", "canonical_order",
-                 "check_admissible"):
+                 "check_admissible", "GroundSet"):
         assert gone not in entcover.__all__, gone
         assert not hasattr(entcover, gone), gone
+
+
+def test_accessors_only_tests_read_are_gone():
+    # the fields they read stay: prefixes, a and nbr_masks
+    for cls, gone in ((entcover.GreedyTrace, "prefix"),
+                      (entcover.CoefficientTable, "row"),
+                      (entcover.CoefficientTable, "steps"),
+                      (entcover.GraphInstance, "neighbors")):
+        assert not hasattr(cls, gone), (cls, gone)
+    oracle = entcover.PolymatroidOracle(3, int.bit_count)
+    assert oracle.m == 3 and not hasattr(oracle, "ground")
 
 
 def test_optimum_is_entropy_and_covers():

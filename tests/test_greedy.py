@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from entcover.core import GroundSet, PolymatroidOracle, entropy, validate_cover
+from entcover.core import PolymatroidOracle, entropy, validate_cover
 from entcover.greedy import GreedyTrace, coefficients, run_greedy
 from entcover.instances import (GraphInstance, SetCoverInstance,
                                 generate_random, mesc_oracle, meo_oracle,
@@ -20,9 +20,7 @@ def test_set_cover_example():
     assert trace.deltas == (2, 1)
     assert trace.cover.x == (2, 1, 0)
     assert trace.length == 2
-    assert trace.prefix(0) == 0
-    assert trace.prefix(1) == 0b001
-    assert trace.prefix(2) == 0b011
+    assert trace.prefixes == (0b001, 0b011)
     # 1-based ranks: chosen in order, then the unchosen set
     assert trace.rank == (1, 2, 3)
 
@@ -45,7 +43,7 @@ def test_greedy_cover_always_valid():
 
 
 def test_rejects_zero_total():
-    o = PolymatroidOracle(GroundSet(2), lambda s: 0)
+    o = PolymatroidOracle(2, lambda s: 0)
     with pytest.raises(ValueError, match="at least 1"):
         run_greedy(o)
 
@@ -53,7 +51,7 @@ def test_rejects_zero_total():
 def test_rejects_nonzero_empty_value():
     # the gains are measured against f(S), so f(empty) != 0 is refused
     # up front rather than folded into the first gain
-    o = PolymatroidOracle(GroundSet(2), lambda s: 1 + bin(s).count("1"))
+    o = PolymatroidOracle(2, lambda s: 1 + bin(s).count("1"))
     for lazy in (False, True):
         with pytest.raises(ValueError, match=r"f\(∅\) must be 0, got 1"):
             run_greedy(o, lazy=lazy)
@@ -61,14 +59,14 @@ def test_rejects_nonzero_empty_value():
 
 def test_stall_detection():
     # 0 everywhere except the full set: greedy cannot make progress
-    o = PolymatroidOracle(GroundSet(2), lambda s: 2 if s == 0b11 else 0)
+    o = PolymatroidOracle(2, lambda s: 2 if s == 0b11 else 0)
     with pytest.raises(ValueError, match="stalled"):
         run_greedy(o)
 
 
 def test_non_monotone_detection():
     vals = {0: 0, 0b01: 2, 0b10: 2, 0b11: 1}
-    o = PolymatroidOracle(GroundSet(2), lambda s: vals[s])
+    o = PolymatroidOracle(2, lambda s: vals[s])
     with pytest.raises(ValueError, match="non-monotone"):
         run_greedy(o)
 
@@ -101,8 +99,6 @@ def test_coefficient_table_example():
     trace = run_greedy(o)
     table = coefficients(o, trace)
     assert table.a == ((2, 1, 0), (0, 1, 1))
-    assert table.row(1) == (2, 1, 0)
-    assert table.steps == 2
 
 
 def coeff_identities(o, trace, table):
@@ -110,22 +106,22 @@ def coeff_identities(o, trace, table):
     l = trace.length
     # nonnegative, diagonal = deltas, chosen column zero afterwards
     for r in range(1, l + 1):
-        row = table.row(r)
+        row = table.a[r - 1]
         assert all(v >= 0 for v in row)
         assert row[trace.order[r - 1]] == trace.deltas[r - 1]
     for k, j in enumerate(trace.order, start=1):
         for r in range(k + 1, l + 1):
-            assert table.row(r)[j] == 0
+            assert table.a[r - 1][j] == 0
     # column sums hit the singleton values
     for j in range(m):
-        assert sum(table.row(r)[j] for r in range(1, l + 1)) == o.eval(1 << j)
+        assert sum(table.a[r - 1][j] for r in range(1, l + 1)) == o.eval(1 << j)
     # partial sums track the remaining marginal of j after r steps
     for j in range(m):
         acc = 0
         for r in range(1, l + 1):
-            acc += table.row(r)[j]
+            acc += table.a[r - 1][j]
             lhs = o.eval(1 << j) - acc
-            rhs = o.eval(trace.prefix(r) | (1 << j)) - o.eval(trace.prefix(r))
+            rhs = o.eval(trace.prefixes[r - 1] | (1 << j)) - o.eval(trace.prefixes[r - 1])
             assert lhs == rhs, (j, r)
 
 
@@ -236,7 +232,7 @@ def test_mest_gains_match_union_find():
 
 
 def test_generic_gains_read_through_eval():
-    o = PolymatroidOracle(GroundSet(3), lambda s: min(2, bin(s).count("1")))
+    o = PolymatroidOracle(3, lambda s: min(2, bin(s).count("1")))
     assert o.gains(0) == [1, 1, 1]
     assert o.gains(0b001) == [0, 1, 1]
     assert o.gains(0b011) == [0, 0, 0]

@@ -127,13 +127,6 @@ class InstanceValidation(unittest.TestCase):
         with self.assertRaises(ValueError):
             GraphInstance(3, ((0, 1), (0, 1), (1, 2)))
 
-    def test_neighbors(self):
-        self.assertEqual(TRIANGLE.neighbors(0), (1, 2))
-        self.assertTrue(TRIANGLE.is_connected())
-        for v in (-1, 3):
-            with self.assertRaisesRegex(ValueError, "out of range"):
-                TRIANGLE.neighbors(v)
-
     def test_connectivity_matches_union_find(self):
         # the flood fill over neighbour masks against a disjoint-set
         # forest, on sparse random graphs that are often disconnected
@@ -148,10 +141,9 @@ class InstanceValidation(unittest.TestCase):
                 parent[find(parent, u)] = find(parent, v)
             self.assertEqual(g.is_connected(),
                              len({find(parent, v) for v in range(n)}) == 1, edges)
-            # both pinned to a scan of the edge list
+            # the neighbour masks pinned to a scan of the edge list
             scan = [tuple(sorted(b if a == v else a for (a, b) in edges if v in (a, b)))
                     for v in range(n)]
-            self.assertEqual([g.neighbors(v) for v in range(n)], scan)
             self.assertEqual(list(g.nbr_masks),
                              [sum(1 << u for u in nb) for nb in scan])
 
@@ -508,7 +500,6 @@ def test_one_instance_derives_each_mask_once(monkeypatch, kind):
     coefficients(make(inst), naive)
     if kind != "mesc":
         assert inst.is_connected()
-        inst.neighbors(0)
     if kind == "mest":
         complete_mest_solution(inst, naive)
     used = {"mesc": {"set_masks"}, "meo": {"incidence_masks", "nbr_masks"},

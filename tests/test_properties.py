@@ -73,7 +73,7 @@ def test_random_instances_wellformed(kind, seed):
     for r in range(1, trace.length + 1):
         for j in range(o.m):
             acc = sum(table.a[i][j] for i in range(r))
-            rem = o.eval(trace.prefix(r) | (1 << j)) - o.eval(trace.prefix(r))
+            rem = o.eval(trace.prefixes[r - 1] | (1 << j)) - o.eval(trace.prefixes[r - 1])
             assert o.eval(1 << j) - acc == rem
 
 
