@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 LOG2E = math.log2(math.e)
 VALIDATE_MAX_M = 24  # validate_cover reads all 2^m subsets
 GUARD_MSG = "instance too large for exact solver"
+EXACT_MAX_WORK = 1 << 20  # bounds m 2^m (m <= 16) and the assignment search
 
 
 class GuardError(ValueError):
@@ -143,10 +144,10 @@ def validate_cover(oracle: PolymatroidOracle, cover: Cover) -> Tuple[bool, Optio
     witness is the first violated subset in ascending bitmask order
     (the full universe for a totality violation, a singleton for a
     negative entry).  Cost is Theta(2^m), so ground sets larger than
-    VALIDATE_MAX_M are refused.  entcover greedy runs it only when its
-    cover does not match the linear-time realisation of
-    instances.realise_cover.  The exact solvers check no optimum: on a
-    polymatroid each is a chain's vector, hence a valid cover.
+    VALIDATE_MAX_M are refused.  entcover greedy does not run it: the
+    linear-time realisation of instances.realise_cover proves its
+    cover.  The exact solvers check no optimum either: on a polymatroid
+    each is a chain's vector, hence a valid cover.
     """
     m = oracle.m
     if len(cover.x) != m:
@@ -189,7 +190,7 @@ def check_polymatroid(oracle: PolymatroidOracle) -> Tuple[bool, Optional[Tuple[i
     negative f(S).
     """
     m = oracle.m
-    if m > 16:
+    if m << m > EXACT_MAX_WORK:
         raise GuardError(f"{GUARD_MSG}: ground set too large for "
                          f"exhaustive polymatroid check")
     witness = polymatroid_violation(oracle.table())

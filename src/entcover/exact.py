@@ -44,13 +44,12 @@ from itertools import compress
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .core import (GUARD_MSG, Cover, GuardError, PolymatroidOracle,
-                   entropy_from_weight, polymatroid_violation,
-                   weight_product)
+from .core import (EXACT_MAX_WORK, GUARD_MSG, Cover, GuardError,
+                   PolymatroidOracle, entropy_from_weight,
+                   polymatroid_violation, weight_product)
 from .instances import (Edge, GraphInstance, SetCoverInstance, find,
                         mest_oracle)
 
-EXACT_MAX_WORK = 1 << 20  # bounds m 2^m (m <= 16) and the assignment search
 MEST_ENTROPY_MAX_VERTICES = 20  # exact_mest_entropy's guard on its recursion
 MEST_ENTROPY_MAX_TREES = 8 ** 6  # and on its work, one DP per tree: K8's count
 
@@ -171,7 +170,8 @@ def _best_assignments(owners: Sequence[Sequence[int]], m: int) -> Optimum:
         if work > EXACT_MAX_WORK:
             raise GuardError(GUARD_MSG)
         layer = {c[:i] + (c[i] + 1,) + c[i + 1:] for c in layer for i in own}
-    weights = {c: weight_product(c) for c in layer}
+    weight = cache(weight_product)  # symmetric: once per count multiset
+    weights = {c: weight(tuple(sorted(c))) for c in layer}
     best_w = max(weights.values())
     covers = tuple(Cover(c) for c in sorted(c for c, w in weights.items()
                                             if w == best_w))

@@ -39,7 +39,7 @@ def test_greedy_json(tmp_path, capsys):
     assert rep["deltas"] == [2, 1]
     assert rep["cover"] == [2, 1, 0]
     assert rep["cover_valid"] is True
-    assert rep["cover_check"] == "witness"
+    assert "cover_check" not in rep
     assert rep["greedy_entropy_bits"] == pytest.approx(0.9182958340544896, abs=1e-10)
     assert "elapsed_seconds" in rep
 
@@ -60,7 +60,7 @@ def test_greedy_elapsed_includes_validity_check(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["mesc", "meo", "mest"])
 def test_greedy_above_exhaustive_limit(tmp_path, capsys, kind):
-    # m = 40 is past validate_cover's m <= 24 limit; the witness has none
+    # m = 40 is past validate_cover's m <= 24 limit; the realisation has none
     params = {"m": 40, "n": 80} if kind == "mesc" else {"n_vertices": 40}
     inst = generate_random(kind, 7, **params)
     f = write(tmp_path, f"big.{kind}", serialize_instance(inst).decode())
@@ -68,7 +68,6 @@ def test_greedy_above_exhaustive_limit(tmp_path, capsys, kind):
     assert code == 0, err
     rep = json.loads(out)
     assert rep["cover_valid"] is True
-    assert rep["cover_check"] == "witness"
     assert len(rep["cover"]) == 40
 
 
@@ -82,7 +81,6 @@ def test_greedy_past_machine_word(tmp_path, capsys, kind):
     assert code == 0, err
     rep = json.loads(out)
     assert rep["cover_valid"] is True
-    assert rep["cover_check"] == "witness"
     assert len(rep["cover"]) == 100
 
 
@@ -96,12 +94,10 @@ def test_greedy_invalid_cover_exit_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_greedy", tampered)
     f = write(tmp_path, "a.mesc", MESC)
-    code, out, _ = run(capsys, "greedy", f, "--json")
-    rep = json.loads(out)
-    assert rep["cover_check"] == "exhaustive"
-    assert rep["cover_valid"] is False
-    assert rep["violated_subset_mask"] == 0b100
-    assert code == 1
+    # a cover its realisation does not match is a library fault, never a
+    # report; uncaught, it ends the console entry point with exit 1
+    with pytest.raises(RuntimeError, match="^invariant broken"):
+        cli.main(["greedy", f, "--json"])
 
 
 def test_greedy_unmatched_cover_above_exhaustive_limit(tmp_path, capsys,
@@ -118,12 +114,9 @@ def test_greedy_unmatched_cover_above_exhaustive_limit(tmp_path, capsys,
     monkeypatch.setattr(cli, "run_greedy", tampered)
     inst = generate_random("meo", 7, n_vertices=40)
     f = write(tmp_path, "big.graph", serialize_instance(inst).decode())
-    code, out, _ = run(capsys, "greedy", f, "--json")
-    rep = json.loads(out)
-    assert rep["cover_check"] == "skipped"
-    assert rep["cover_valid"] is None
-    assert "violated_subset_mask" not in rep
-    assert code == 0  # nothing was checked, so no check failed
+    # m = 40: the realisation is the proof at every ground-set size
+    with pytest.raises(RuntimeError, match="^invariant broken"):
+        cli.main(["greedy", f, "--json"])
 
 
 def test_greedy_plain_output(tmp_path, capsys):
